@@ -11,6 +11,7 @@ from popsi.data import (
     parse_interactions,
     split_holdout,
 )
+from popsi.baselines import VARIANT_NAMES, itempop_recommend, run_variant
 from popsi.linalg import SvdOptions, orthonormalize, project_out, truncated_svd_left
 from popsi.model import (
     FeatureSpaces,
@@ -21,9 +22,9 @@ from popsi.model import (
     estimate_subspaces,
     fit,
     load_model,
+    rank_items,
     save_model,
     score_user,
-    top_k,
     unfold,
 )
 from popsi.metrics import EvalReport, evaluate, ndcg_at_k, pri, recall_at_k, spearman

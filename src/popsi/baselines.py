@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from popsi.data import HoldoutSets, InteractionTensor, SplitSpec, item_popularity, split_holdout
 from popsi.linalg import SvdOptions
@@ -21,24 +23,16 @@ VARIANT_FLAGS = {
 VARIANT_NAMES = ("itempop",) + tuple(VARIANT_FLAGS)
 
 
+def itempop_scores(pop_counts: np.ndarray, users) -> np.ndarray:
+    """ItemPop score block: every user's row is the item popularity counts."""
+    return np.tile(np.asarray(pop_counts, dtype=float), (len(users), 1))
+
+
 def itempop_recommend(
-    pop_counts: np.ndarray, u: int, K: int, exclude: set[int] = frozenset()
-) -> RecommendationList:
-    """Most-popular-first list, identical for every user before exclusion."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return rank_items(np.asarray(pop_counts, dtype=float), u, K, exclude)
-
-
-def train_item_sets(train: InteractionTensor) -> dict[int, set[int]]:
-    """Per-user set of target-slice training items, for exclusion from ranked lists."""
-    target = train.target.tocsr()
-    out = {}
-    for u in range(train.m1):
-        row = target.indices[target.indptr[u] : target.indptr[u + 1]]
-        if len(row):
-            out[u] = set(row.tolist())
-    return out
+    pop_counts: np.ndarray, users, K: int, exclude: sp.csr_matrix | None = None
+) -> list[RecommendationList]:
+    """Most-popular-first lists, identical for every user before exclusion."""
+    return rank_items(itempop_scores(pop_counts, users), users, K, exclude)
 
 
 def run_variant(
@@ -60,11 +54,10 @@ def run_variant(
         holdout = split_holdout(tensor, split)
     pop = item_popularity(holdout.train.target)
     positives = holdout.test_positives if eval_positives == "test" else holdout.val_positives
-    exclude = train_item_sets(holdout.train) if exclude_train else None
+    exclude = holdout.train.target if exclude_train else None
 
     if name == "itempop":
-        pop_f = pop.astype(float)
-        score_fn = lambda u: pop_f
+        score_fn = partial(itempop_scores, pop)
         use_si = use_pop = False
     else:
         use_si, use_pop = VARIANT_FLAGS[name]
@@ -73,7 +66,7 @@ def run_variant(
             opts=svd_opts or SvdOptions(rank=r, rng_seed=split.rng_seed),
             pop_counts=pop,
         )
-        score_fn = lambda u: score_user(model, u)
+        score_fn = partial(score_user, model)
 
     config = {
         "variant": name,

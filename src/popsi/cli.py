@@ -6,9 +6,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, asdict, field, replace
+from functools import partial
 from pathlib import Path
 
-from popsi.baselines import train_item_sets
+import numpy as np
+
 from popsi.data import (
     SplitSpec,
     build_tensor,
@@ -22,7 +24,7 @@ from popsi.data import (
 )
 from popsi.linalg import SvdOptions
 from popsi.metrics import evaluate
-from popsi.model import fit, load_model, save_model, score_user, rank_items
+from popsi.model import fit, load_model, rank_items, save_model, score_user
 
 
 @dataclass
@@ -57,6 +59,8 @@ class RunConfig:
 
 
 _BOOL_KEYS = {"has_header", "use_si", "use_pop"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"seed", "r", "oversample", "power_iters"}
 _FLOAT_KEYS = {"train_ratio", "val_ratio", "test_ratio", "p"}
 
@@ -79,7 +83,10 @@ def load_config(path: str | None) -> RunConfig:
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in _BOOL_KEYS:
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
+                if value.lower() not in _BOOL_VALUES:
+                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                     f"{', '.join(_BOOL_VALUES)}, got {value!r}")
+                setattr(cfg, key, _BOOL_VALUES[value.lower()])
             elif key in _INT_KEYS:
                 setattr(cfg, key, int(value))
             elif key in _FLOAT_KEYS:
@@ -201,22 +208,26 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def _load_fitted(cfg: RunConfig):
+    """Index files, model and split of a fitted run; the model must match the ingested data."""
     out = Path(cfg.out)
-    tensor, _, _ = _load_ingested(out)
+    tensor, users, items = _load_ingested(out)
     model = load_model(out / "model.bin")
     if model.spaces.W.shape[0] != tensor.m1 or model.spaces.H.shape[0] != tensor.m2:
-        print("error: model dimensions do not match the ingested data", file=sys.stderr)
-        return 2
-    holdout = split_holdout(tensor, cfg.split_spec())
+        raise ValueError("model dimensions do not match the ingested data")
+    return users, items, model, split_holdout(tensor, cfg.split_spec())
+
+
+def cmd_evaluate(cfg: RunConfig) -> int:
+    _, _, model, holdout = _load_fitted(cfg)
     pop = item_popularity(holdout.train.target)
     report = evaluate(
-        lambda u: score_user(model, u),
+        partial(score_user, model),
         holdout.test_positives,
-        tensor.m1,
+        holdout.train.m1,
         pop,
         cfg.k_values,
-        exclude=train_item_sets(holdout.train),
+        exclude=holdout.train.target,
         config={
             "r": model.spaces.r,
             "p": model.p,
@@ -226,27 +237,24 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         },
     )
     text = report.to_json() + "\n"
-    with open(out / "report.json", "w") as f:
+    with open(Path(cfg.out) / "report.json", "w") as f:
         f.write(text)
     print(text, end="")
     return 0
 
 
 def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
-    out = Path(cfg.out)
-    tensor, users, items = _load_ingested(out)
-    model = load_model(out / "model.bin")
-    holdout = split_holdout(tensor, cfg.split_spec())
-    exclude_sets = train_item_sets(holdout.train)
-    K = cfg.k_values[0]
+    users, items, model, holdout = _load_fitted(cfg)
+    known = np.array([users.index_of(t) for t in user_tokens if t in users], dtype=np.int64)
+    recs = rank_items(score_user(model, known), known, cfg.k_values[0], holdout.train.target)
+    by_user = {rec.user: rec for rec in recs}
     status = 0
     for token in user_tokens:
         if token not in users:
             print(f"ERR unknown user\t{token}")
             status = 1
             continue
-        u = users.index_of(token)
-        rec = rank_items(score_user(model, u), u, K, exclude_sets.get(u, set()))
+        rec = by_user[users.index_of(token)]
         if rec.truncated:
             print(f"warning: only {len(rec.items)} candidates for {token}", file=sys.stderr)
         for v, s in zip(rec.items, rec.scores):
@@ -259,12 +267,12 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
     pop = item_popularity(holdout.train.target)
-    exclude = train_item_sets(holdout.train)
     seen = []
     for v in values:
         if v not in seen:
             seen.append(v)
     rows = []
+    status = 0
     for value in seen:
         r = int(value) if param == "r" else cfg.r
         p = float(value) if param == "p" else cfg.p
@@ -274,17 +282,18 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
                 opts=cfg.svd_opts(rank=r), pop_counts=pop,
             )
             report = evaluate(
-                lambda u: score_user(model, u),
+                partial(score_user, model),
                 holdout.val_positives,  # sweeps tune on the validation split
                 tensor.m1,
                 pop,
                 [50],
-                exclude=exclude,
+                exclude=holdout.train.target,
             )
             rows.append((param, value, report.ndcg[50], report.pri))
         except Exception as e:
-            print(f"warning: {param}={value} failed: {e}", file=sys.stderr)
+            print(f"error: {param}={value} failed: {e}", file=sys.stderr)
             rows.append((param, value, None, None))
+            status = 1
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as f:
         f.write("param,value,ndcg_at_50,pri\n")
@@ -293,7 +302,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
             pr = "" if pri_v is None else f"{pri_v:.6f}"
             f.write(f"{name},{value:g},{nd},{pr}\n")
     print(f"wrote {len(rows)} rows -> {csv_path}")
-    return 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

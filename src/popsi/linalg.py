@@ -8,7 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 ORTHO_TOL = 1e-10
-SUBSPACE_TOL = 1e-8
 RANK_REL_TOL = 1e-10
 
 
@@ -126,16 +125,3 @@ def orthonormalize(H: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
         raise ValueError("cannot orthonormalize an all-zero matrix")
     return np.ascontiguousarray(U[:, keep])
 
-
-def spmm(A: sp.spmatrix, B: np.ndarray) -> np.ndarray:
-    """Dense product A @ B for sparse A."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
-    return np.asarray(A @ B)
-
-
-def spmm_t(A: sp.spmatrix, B: np.ndarray) -> np.ndarray:
-    """Dense product A^T @ B for sparse A."""
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape}^T @ {B.shape}")
-    return np.asarray(A.T @ B)

@@ -7,7 +7,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import rankdata
+
+from popsi.model import rank_items
+
+SCORE_BLOCK = 1 << 20  # scores per evaluation block: 8 MB of float64
 
 
 @dataclass
@@ -93,28 +98,28 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def avg_rank_quantiles(
-    score_fn: Callable[[int], np.ndarray],
-    positives: Mapping[int, Sequence[int]],
+    users: np.ndarray, items: np.ndarray, scores: np.ndarray
 ) -> dict[int, float]:
     """Average rank-position quantile of each item within the Pos_u sets containing it.
 
-    Rank is 1-based among Pos_u under descending score (ties by ascending
-    item index); quantile = rank / |Pos_u|. Users with fewer than two
-    positives carry no ranking signal and are skipped.
+    Triple i says that items[i] is in Pos_{users[i]} with score scores[i]; a
+    (user, item) pair appears at most once. Rank is 1-based among Pos_u under
+    descending score (ties by ascending item index); quantile = rank / |Pos_u|.
+    Users with fewer than two positives carry no ranking signal and are skipped.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for u, pos in positives.items():
-        if len(pos) < 2:
-            continue
-        pos = sorted(set(pos))
-        scores = score_fn(u)
-        order = sorted(pos, key=lambda v: (-scores[v], v))
-        n = len(order)
-        for rank, v in enumerate(order, start=1):
-            sums[v] = sums.get(v, 0.0) + rank / n
-            counts[v] = counts.get(v, 0) + 1
-    return {v: sums[v] / counts[v] for v in sums}
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    order = np.lexsort((items, -np.asarray(scores, dtype=float), users))
+    users, items = users[order], items[order]
+    _, starts, sizes = np.unique(users, return_index=True, return_counts=True)
+    n = np.repeat(sizes, sizes)
+    rank = np.arange(len(users)) - np.repeat(starts, sizes) + 1
+    keep = n >= 2
+    # bincount adds in array order, i.e. user by user as a per-user loop would
+    sums = np.bincount(items[keep], weights=rank[keep] / n[keep])
+    counts = np.bincount(items[keep])
+    rated = np.flatnonzero(counts)
+    return dict(zip(rated.tolist(), (sums[rated] / counts[rated]).tolist()))
 
 
 def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
@@ -128,32 +133,43 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
 
 
 def evaluate(
-    score_fn: Callable[[int], np.ndarray],
+    score_fn: Callable[[np.ndarray], np.ndarray],
     test_positives: Mapping[int, Sequence[int]],
     n_users: int,
     pop_counts: np.ndarray,
     k_values: Sequence[int] = (20, 50),
-    exclude: Mapping[int, set[int]] | None = None,
+    exclude: sp.csr_matrix | None = None,
     config: dict | None = None,
 ) -> EvalReport:
-    """Run the full metric suite for one scorer against held-out positives.
+    """Run the full metric suite for one block scorer against held-out positives.
 
-    `exclude` maps users to training items removed from their candidate
-    lists before ranking (PRI ranks only within Pos_u and ignores it).
+    `score_fn(users)` returns one score row per user of an index array; the
+    test users are scored once, in blocks of about SCORE_BLOCK scores, and
+    the top-K lists and the PRI rank quantiles come from the same block.
+    Row u of `exclude` (the training target) lists the items removed from
+    u's candidates before ranking (PRI ranks only within Pos_u and ignores it).
     """
-    from popsi.model import rank_items
-
     k_max = max(k_values)
+    test_users = np.array(sorted(test_positives), dtype=np.int64)
+    rows = max(1, SCORE_BLOCK // len(pop_counts))
     rec_lists: dict[int, list[int]] = {}
-    for u in test_positives:
-        excl = exclude.get(u, set()) if exclude else set()
-        rec_lists[u] = rank_items(score_fn(u), u, k_max, excl).items
+    pri_users, pri_items, pri_scores = [], [], []  # one (user, item, score) per positive
+    for start in range(0, len(test_users), rows):
+        block = test_users[start : start + rows]
+        scores = score_fn(block)
+        for rec in rank_items(scores, block, k_max, exclude):
+            rec_lists[rec.user] = rec.items
+        for i, u in enumerate(block.tolist()):
+            pos = sorted(set(test_positives[u]))
+            pri_users += [u] * len(pos)
+            pri_items += pos
+            pri_scores += scores[i, pos].tolist()
 
     recall = {k: recall_at_k({u: r[:k] for u, r in rec_lists.items()}, test_positives, n_users)
               for k in k_values}
     ndcg = {k: ndcg_at_k(rec_lists, test_positives, n_users, k) for k in k_values}
 
-    quantiles = avg_rank_quantiles(score_fn, test_positives)
+    quantiles = avg_rank_quantiles(pri_users, pri_items, pri_scores)
     n_pri_users = sum(1 for pos in test_positives.values() if len(pos) >= 2)
     skipped = len(test_positives) - n_pri_users
     try:

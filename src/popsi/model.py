@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,8 +15,6 @@ from popsi.linalg import (
     SvdOptions,
     orthonormalize,
     project_out,
-    spmm,
-    spmm_t,
     truncated_svd_left,
 )
 
@@ -94,22 +92,8 @@ def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFea
 
 def estimate_subspaces(tensor: InteractionTensor, r: int, opts: SvdOptions) -> FeatureSpaces:
     """User/item bases from the dominant left singular subspaces of the two unfoldings."""
-    w_opts = SvdOptions(
-        rank=r,
-        oversample=opts.oversample,
-        power_iters=opts.power_iters,
-        rng_seed=opts.rng_seed,
-        tol=opts.tol,
-        max_iters=opts.max_iters,
-    )
-    h_opts = SvdOptions(
-        rank=r,
-        oversample=opts.oversample,
-        power_iters=opts.power_iters,
-        rng_seed=opts.rng_seed + 1,
-        tol=opts.tol,
-        max_iters=opts.max_iters,
-    )
+    w_opts = replace(opts, rank=r)
+    h_opts = replace(opts, rank=r, rng_seed=opts.rng_seed + 1)
     W = truncated_svd_left(unfold(tensor, 1), w_opts)
     H = truncated_svd_left(unfold(tensor, 2), h_opts)
     return FeatureSpaces(W, H, r, debiased=False)
@@ -124,7 +108,7 @@ def debias_item_space(spaces: FeatureSpaces, P: sp.spmatrix) -> FeatureSpaces:
     H = spaces.H
     for _ in range(3):
         H = orthonormalize(project_out(H, P))
-        if np.max(np.abs(spmm_t(P.tocsr(), H))) <= ORTHO_TOL:
+        if np.max(np.abs(P.T @ H)) <= ORTHO_TOL:
             break
     else:
         raise RuntimeError("debias projection failed to reach orthogonality tolerance")
@@ -164,7 +148,7 @@ def fit(
         features = build_popularity_features(pop_counts, p)
         spaces = debias_item_space(spaces, features.P)
     t2 = time.perf_counter()
-    cores = [spmm_t(Xk, spaces.W).T @ spaces.H for Xk in tensor.slices]
+    cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
     t3 = time.perf_counter()
     if log is not None:
         log["r"] = r
@@ -178,46 +162,49 @@ def fit(
     return PreferenceModel(spaces, cores, list(tensor.behavior_labels), p, use_si, use_pop)
 
 
-def score_user(model: PreferenceModel, u: int, k: int = 0) -> np.ndarray:
-    """Row u of W W^T X^k H H^T, computed as (W_u S^k) H^T."""
+def score_user(model: PreferenceModel, users, k: int = 0) -> np.ndarray:
+    """Rows `users` of W W^T X^k H H^T, computed as (W[users] S^k) H^T.
+
+    An int gives one score vector; an index array gives a block with one row per user.
+    """
     W = model.spaces.W
-    if not 0 <= u < W.shape[0]:
-        raise IndexError(f"user index {u} out of range [0, {W.shape[0]})")
-    return (W[u] @ model.cores[k]) @ model.spaces.H.T
-
-
-def top_k(
-    model: PreferenceModel,
-    u: int,
-    K: int,
-    exclude: set[int] | frozenset[int] = frozenset(),
-) -> RecommendationList:
-    """K highest-scoring items for user u; ties broken by ascending item index."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    scores = score_user(model, u)
-    return rank_items(scores, u, K, exclude)
+    idx = np.asarray(users)
+    bad = idx[(idx < 0) | (idx >= W.shape[0])]
+    if bad.size:
+        raise IndexError(f"user index {bad.flat[0]} out of range [0, {W.shape[0]})")
+    return (W[idx] @ model.cores[k]) @ model.spaces.H.T
 
 
 def rank_items(
-    scores: np.ndarray, u: int, K: int, exclude: set[int] | frozenset[int] = frozenset()
-) -> RecommendationList:
-    m2 = len(scores)
-    if exclude:
-        mask = np.ones(m2, dtype=bool)
-        mask[list(exclude)] = False
-        candidates = np.where(mask)[0]
-    else:
-        candidates = np.arange(m2)
-    # stable sort on descending score keeps ascending-index tie order
-    order = candidates[np.argsort(-scores[candidates], kind="stable")]
-    chosen = order[:K]
-    return RecommendationList(
-        user=u,
-        items=chosen.tolist(),
-        scores=scores[chosen].tolist(),
-        truncated=len(chosen) < K,
-    )
+    scores: np.ndarray, users, K: int, exclude: sp.csr_matrix | None = None
+) -> list[RecommendationList]:
+    """Top-K list of every row of a score block; row i belongs to user users[i].
+
+    Row users[i] of `exclude` (the training target) lists the items dropped
+    from row i. Ties break by ascending item index, as in a stable sort of
+    the whole row; rows with fewer than K candidates give truncated lists.
+    """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    users = np.asarray(users)
+    masked = np.array(scores, dtype=float)
+    n_rows, m2 = masked.shape
+    if exclude is not None:
+        train = exclude.tocsr()[users]
+        masked[np.repeat(np.arange(n_rows), np.diff(train.indptr)), train.indices] = -np.inf
+    # only items at or above each row's K-th best score can make its list
+    kth = np.partition(masked, m2 - min(K, m2), axis=1)[:, m2 - min(K, m2)]
+    rows, cols = np.nonzero((masked >= kth[:, None]) & (masked > -np.inf))
+    ranked = cols[np.lexsort((cols, -masked[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    out = []
+    for i, (start, n) in enumerate(zip(starts.tolist(), counts.tolist())):
+        chosen = ranked[start : start + min(n, K)]
+        out.append(
+            RecommendationList(int(users[i]), chosen.tolist(), masked[i, chosen].tolist(), n < K)
+        )
+    return out
 
 
 # --- model container: 8-byte magic, u32 version, JSON metadata, raw float64 arrays ---
@@ -251,26 +238,33 @@ def save_model(model: PreferenceModel, path) -> None:
 
 
 def load_model(path) -> PreferenceModel:
+    """Read a model container; a short read or bytes after the last array raise ValueError."""
     with open(path, "rb") as f:
+
+        def read(n: int) -> bytes:
+            buf = f.read(n)
+            if len(buf) != n:
+                raise ValueError(f"truncated model file {path}: wanted {n} bytes, got {len(buf)}")
+            return buf
+
         magic = f.read(8)
         if magic != MODEL_MAGIC:
             raise ValueError(f"not a model file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
-        (meta_len,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(meta_len))
-        m1, m2 = meta["m1"], meta["m2"]
-        r, rr = meta["r"], meta["r_refined"]
+        (meta_len,) = struct.unpack("<I", read(4))
+        meta = json.loads(read(meta_len))
 
         def read_array(shape):
-            count = int(np.prod(shape))
-            buf = f.read(count * 8)
+            buf = read(8 * int(np.prod(shape)))
             return np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
 
-        W = read_array((m1, r))
-        H = read_array((m2, rr))
+        W = read_array((meta["m1"], meta["r"]))
+        H = read_array((meta["m2"], meta["r_refined"]))
         cores = [read_array(tuple(s)) for s in meta["core_shapes"]]
+        if f.read(1):
+            raise ValueError(f"model file {path} has trailing bytes after its arrays")
     spaces = FeatureSpaces(W, H, meta["r"], debiased=meta["debiased"])
     return PreferenceModel(
         spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"], meta["use_pop"]

@@ -1,34 +1,35 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_binary_tensor
 from popsi.baselines import (
     VARIANT_FLAGS,
     itempop_recommend,
     run_variant,
-    train_item_sets,
 )
 from popsi.data import SplitSpec
 
 
 def test_itempop_sort_by_count():
-    rec = itempop_recommend(np.array([5, 2, 7]), u=0, K=2)
+    (rec,) = itempop_recommend(np.array([5, 2, 7]), users=[0], K=2)
     assert rec.items == [2, 0]
 
 
 def test_itempop_exclusion():
-    rec = itempop_recommend(np.array([5, 2, 7]), u=0, K=2, exclude={2})
+    exclude = sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))
+    (rec,) = itempop_recommend(np.array([5, 2, 7]), users=[0], K=2, exclude=exclude)
     assert rec.items == [0, 1]
 
 
 def test_itempop_zero_counts_tie_rule():
-    rec = itempop_recommend(np.zeros(4), u=0, K=3)
+    (rec,) = itempop_recommend(np.zeros(4), users=[0], K=3)
     assert rec.items == [0, 1, 2]
 
 
 def test_itempop_invalid_k():
     with pytest.raises(ValueError):
-        itempop_recommend(np.array([1.0]), 0, 0)
+        itempop_recommend(np.array([1.0]), [0], 0)
 
 
 def test_variant_flag_mapping():
@@ -77,12 +78,3 @@ def test_itempop_has_maximal_pri():
     }
     assert reports["itempop"].pri >= reports["popsi_tensor"].pri
     assert reports["itempop"].pri >= reports["popsi_full"].pri
-
-
-def test_train_item_sets():
-    rng = np.random.default_rng(4)
-    tensor = random_binary_tensor(rng, 6, 5, 1, density=0.4)
-    sets = train_item_sets(tensor)
-    dense = tensor.target.toarray()
-    for u, items in sets.items():
-        assert items == set(np.nonzero(dense[u])[0].tolist())

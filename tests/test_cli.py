@@ -38,6 +38,15 @@ def test_config_parsing(tmp_path):
     assert cfg.behaviors == ["buy", "view"]
 
 
+def test_config_rejects_unknown_boolean(tmp_path, capsys):
+    path = tmp_path / "c.conf"
+    path.write_text("r = 32\nuse_pop = ture\n")
+    with pytest.raises(ValueError, match=f"{path}:2"):
+        load_config(path)
+    assert run(["fit", "--config", path]) == 2
+    assert f"{path}:2" in capsys.readouterr().err
+
+
 def test_config_unknown_key(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("nonsense = 1\n")
@@ -129,6 +138,32 @@ def test_recommend_known_and_unknown(workspace, capsys):
     scores = [float(l.split("\t")[2]) for l in user_lines]
     assert scores == sorted(scores, reverse=True)
     assert any(l.startswith("ERR unknown user") for l in lines)
+
+
+def test_recommend_rejects_model_of_other_data(workspace, capsys):
+    from conftest import random_binary_tensor
+    from popsi.linalg import SvdOptions
+    from popsi.model import fit, save_model
+
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    other = random_binary_tensor(np.random.default_rng(0), 7, 5, 2, density=0.5)
+    save_model(fit(other, r=2, opts=SvdOptions(rank=2)), tmp_path / "out" / "model.bin")
+    capsys.readouterr()
+    for command in (["recommend", "--config", cfg, "u0"], ["evaluate", "--config", cfg]):
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert "do not match" in captured.err and captured.out == ""
+
+
+def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    assert run(["sweep", "--config", cfg, "--param", "r", "--values", "4,100000"]) == 1
+    rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+    assert rows[0] == "param,value,ndcg_at_50,pri"
+    assert rows[1].startswith("r,4,0.") and rows[2] == "r,100000,,"
+    assert "r=100000" in capsys.readouterr().err
 
 
 def test_sweep_csv(workspace):

@@ -8,8 +8,6 @@ from popsi.linalg import (
     SvdOptions,
     orthonormalize,
     project_out,
-    spmm,
-    spmm_t,
     truncated_svd_left,
 )
 
@@ -118,28 +116,6 @@ def test_orthonormalize_preserves_span():
 def test_orthonormalize_rejects_zero():
     with pytest.raises(ValueError):
         orthonormalize(np.zeros((4, 2)))
-
-
-def test_spmm_oracle():
-    rng = np.random.default_rng(6)
-    A = sp.random(20, 30, density=0.2, random_state=8, format="csr")
-    B = rng.standard_normal((30, 4))
-    assert np.max(np.abs(spmm(A, B) - A.toarray() @ B)) <= 1e-12
-    C = rng.standard_normal((20, 4))
-    assert np.max(np.abs(spmm_t(A, C) - A.toarray().T @ C)) <= 1e-12
-
-
-def test_spmm_zero_and_identity():
-    B = np.random.default_rng(7).standard_normal((5, 3))
-    assert np.all(spmm(sp.csr_matrix((4, 5)), B) == 0)
-    assert np.allclose(spmm(sp.identity(5, format="csr"), B), B)
-
-
-def test_spmm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        spmm(sp.csr_matrix((4, 5)), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        spmm_t(sp.csr_matrix((4, 5)), np.zeros((5, 2)))
 
 
 def test_projector_self_adjoint_probe():

@@ -141,9 +141,19 @@ def test_spearman_monotone_transform_invariance(xs, seed):
 # --- avg rank quantiles / pri ---
 
 
+def quantiles_of(score_rows, positives):
+    """avg_rank_quantiles triples for per-user score rows and positive lists."""
+    users, items, scores = [], [], []
+    for u, pos in positives.items():
+        users += [u] * len(pos)
+        items += pos
+        scores += [score_rows[u][v] for v in pos]
+    return avg_rank_quantiles(users, items, scores)
+
+
 def test_avg_rank_quantiles_two_items():
     scores = np.array([0.0, 0.9, 0.1])
-    q = avg_rank_quantiles(lambda u: scores, {0: [1, 2]})
+    q = quantiles_of({0: scores}, {0: [1, 2]})
     assert q == {1: pytest.approx(0.5), 2: pytest.approx(1.0)}
 
 
@@ -152,13 +162,42 @@ def test_avg_rank_quantiles_averages_across_users():
         0: np.array([0.9, 0.5, 0.3, 0.1]),  # item 0 at quantile 1/4
         1: np.array([0.4, 0.5, 0.9, 0.1]),  # item 0 at quantile 3/4
     }
-    q = avg_rank_quantiles(lambda u: by_user[u], {0: [0, 1, 2, 3], 1: [0, 1, 2, 3]})
+    q = quantiles_of(by_user, {0: [0, 1, 2, 3], 1: [0, 1, 2, 3]})
     assert q[0] == pytest.approx(0.5)
 
 
 def test_avg_rank_quantiles_skips_singletons():
     scores = np.array([1.0, 2.0])
-    assert avg_rank_quantiles(lambda u: scores, {0: [1]}) == {}
+    assert quantiles_of({0: scores}, {0: [1]}) == {}
+
+
+def ref_avg_rank_quantiles(score_rows, positives):
+    """Per-user dict loop: rank each Pos_u by (-score, item) and average rank/|Pos_u|."""
+    sums, counts = {}, {}
+    for u in sorted(positives):
+        pos = sorted(set(positives[u]))
+        if len(pos) < 2:
+            continue
+        order = sorted(pos, key=lambda v: (-score_rows[u][v], v))
+        for rank, v in enumerate(order, start=1):
+            sums[v] = sums.get(v, 0.0) + rank / len(pos)
+            counts[v] = counts.get(v, 0) + 1
+    return {v: sums[v] / counts[v] for v in sums}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_avg_rank_quantiles_matches_dict_loop(seed):
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+    # integer scores in a small range: many exact ties at every rank
+    score_rows = {u: rng.integers(0, 3, n_items).astype(float) for u in range(n_users)}
+    positives = {
+        u: sorted(rng.permutation(n_items)[: rng.integers(0, n_items + 1)].tolist())
+        for u in rng.permutation(n_users).tolist()
+    }
+    # same additions in the same order: equal to the last bit, not just close
+    assert quantiles_of(score_rows, positives) == ref_avg_rank_quantiles(score_rows, positives)
 
 
 def test_pri_perfect_alignment():

@@ -13,10 +13,10 @@ from popsi.model import (
     estimate_subspaces,
     fit,
     load_model,
+    rank_items,
     refold,
     save_model,
     score_user,
-    top_k,
     unfold,
 )
 
@@ -233,15 +233,56 @@ def test_score_user_out_of_range():
         score_user(model, 3)
 
 
-def test_top_k_ordering_and_exclusion():
-    from popsi.model import rank_items
+def test_score_user_block_matches_rows():
+    rng = np.random.default_rng(10)
+    tensor = random_binary_tensor(rng, 10, 8, 2, density=0.3)
+    model = fit(tensor, r=3, use_si=True, use_pop=False, opts=SvdOptions(rank=3))
+    users = np.array([4, 0, 9, 4])
+    block = score_user(model, users, 1)
+    assert block.shape == (4, 8)
+    for row, u in zip(block, users):
+        assert np.max(np.abs(row - score_user(model, int(u), 1))) <= 1e-12
+    with pytest.raises(IndexError):
+        score_user(model, np.array([0, 10]))
 
-    scores = np.array([0.1, 0.9, 0.5])
-    assert rank_items(scores, 0, 2).items == [1, 2]
-    assert rank_items(scores, 0, 2, exclude={1}).items == [2, 0]
-    assert rank_items(np.zeros(3), 0, 2).items == [0, 1]
-    short = rank_items(scores, 0, 5, exclude={1})
+
+def exclusion(m1, m2, pairs):
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m1, m2))
+
+
+def test_top_k_ordering_and_exclusion():
+    scores = np.array([[0.1, 0.9, 0.5]])
+    assert rank_items(scores, [0], 2)[0].items == [1, 2]
+    assert rank_items(scores, [0], 2, exclusion(1, 3, [(0, 1)]))[0].items == [2, 0]
+    assert rank_items(np.zeros((1, 3)), [0], 2)[0].items == [0, 1]
+    short = rank_items(scores, [0], 5, exclusion(1, 3, [(0, 1)]))[0]
     assert short.truncated and short.items == [2, 0]
+    with pytest.raises(ValueError):
+        rank_items(scores, [0], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rank_items_matches_full_stable_sort(seed):
+    rng = np.random.default_rng(seed)
+    m1, m2 = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+    exclude = sp.csr_matrix((rng.random((m1, m2)) < rng.random()).astype(float))
+    users = rng.integers(0, m1, int(rng.integers(0, 6)))
+    # integer scores in a small range tie often; some rows are all zero
+    scores = rng.integers(-2, 3, (len(users), m2)).astype(float)
+    scores[rng.random(len(users)) < 0.3] = 0.0
+    K = int(rng.integers(1, m2 + 3))
+    recs = rank_items(scores, users, K, exclude)
+    assert len(recs) == len(users)
+    dense = exclude.toarray()
+    for rec, u, row in zip(recs, users, scores):
+        candidates = np.flatnonzero(dense[u] == 0)
+        want = candidates[np.argsort(-row[candidates], kind="stable")][:K]
+        assert rec.user == u
+        assert rec.items == want.tolist()
+        assert rec.scores == row[want].tolist()
+        assert rec.truncated == (len(candidates) < K)
 
 
 def test_model_serialization_roundtrip(tmp_path):
@@ -266,4 +307,26 @@ def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+def test_model_truncated_file(tmp_path):
+    rng = np.random.default_rng(12)
+    tensor = random_binary_tensor(rng, 8, 6, 1, density=0.4)
+    path = tmp_path / "model.bin"
+    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    data = path.read_bytes()
+    for cut in (10, 20, len(data) - 12, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+
+def test_model_trailing_bytes(tmp_path):
+    rng = np.random.default_rng(13)
+    tensor = random_binary_tensor(rng, 8, 6, 1, density=0.4)
+    path = tmp_path / "model.bin"
+    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
         load_model(path)
