@@ -65,8 +65,15 @@ _INT_KEYS = {"seed", "r", "oversample", "power_iters"}
 _FLOAT_KEYS = {"train_ratio", "val_ratio", "test_ratio", "p"}
 
 
+def _convert(convert, kind: str, key: str, value: str, where: str):
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
+
+
 def load_config(path: str | None) -> RunConfig:
-    """Flat `key = value` text file; unknown keys are rejected."""
+    """Flat `key = value` text file; unknown keys and unparsable values are rejected."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -76,25 +83,27 @@ def load_config(path: str | None) -> RunConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{where}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in valid:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{where}: unknown config key {key!r}")
             if key in _BOOL_KEYS:
                 if value.lower() not in _BOOL_VALUES:
-                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                    raise ValueError(f"{where}: {key} must be one of "
                                      f"{', '.join(_BOOL_VALUES)}, got {value!r}")
                 setattr(cfg, key, _BOOL_VALUES[value.lower()])
             elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
+                setattr(cfg, key, _convert(int, "an integer", key, value, where))
             elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
+                setattr(cfg, key, _convert(float, "a number", key, value, where))
             elif key == "behaviors":
                 cfg.behaviors = [b.strip() for b in value.split(",") if b.strip()]
             elif key == "k_values":
-                cfg.k_values = [int(k) for k in value.split(",")]
+                cfg.k_values = _convert(lambda v: [int(k) for k in v.split(",")],
+                                        "a comma list of integers", key, value, where)
             else:
                 setattr(cfg, key, value)
     return cfg

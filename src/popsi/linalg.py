@@ -37,12 +37,16 @@ class SvdOptions:
             raise ValueError("oversample must be >= 0")
 
 
-def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions) -> np.ndarray:
+def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None) -> np.ndarray:
     """Orthonormal basis of the dominant-r left singular subspace of sparse A.
 
-    Randomized subspace iteration: power steps continue past `power_iters`
-    until the projector stops moving (opts.tol) or `max_iters` is hit.
-    Deterministic for a fixed seed.
+    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
+    each power step applies A A^T and orthonormalizes only the short m x ell
+    block. Steps continue past `power_iters` until the projector stops moving
+    (opts.tol) or `max_iters` is hit. Deterministic for a fixed seed. When
+    `log` is given it is filled with the iteration count, the stop reason,
+    the final residual and the gap sigma_r / sigma_{r+1} (None when ell = r
+    or sigma_{r+1} = 0).
     """
     m, n = A.shape
     r = opts.rank
@@ -61,8 +65,7 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions) -> np.ndarray:
     residual = np.inf
     stalled = 0
     for it in range(1, opts.max_iters + 1):
-        Z, _ = np.linalg.qr(At @ Q)
-        Q_new, _ = np.linalg.qr(A @ Z)
+        Q_new, _ = np.linalg.qr(A @ (At @ Q))
         # projector movement of the leading r columns between iterations
         lead = Q_new[:, :r]
         prev = residual
@@ -71,17 +74,28 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions) -> np.ndarray:
         if it < opts.power_iters:
             continue
         if residual <= opts.tol:
+            stop = "converged"
             break
         # decay slower than 2x per step means the spectrum has no usable gap
         # at r; further power steps cannot meaningfully improve the basis
         stalled = stalled + 1 if residual > 0.5 * prev else 0
         if stalled >= 2:
+            stop = "stalled"
             break
     else:
         raise SvdConvergenceError(residual, opts.max_iters)
 
-    B = (At @ Q).T  # = Q^T A, dense ell x n
-    Ub, s, _ = np.linalg.svd(B, full_matrices=False)
+    # Rayleigh-Ritz: Q^T A = R^T Z^T with Z orthonormal, so the left singular
+    # vectors of Q^T A are those of the ell x ell factor R^T
+    R = np.linalg.qr(At @ Q, mode="r")
+    Ub, s, _ = np.linalg.svd(R.T)
+    if log is not None:
+        log.update(
+            iterations=it,
+            stop=stop,
+            residual=float(residual),
+            sigma_gap=float(s[r - 1] / s[r]) if ell > r and s[r] > 0 else None,
+        )
     return np.ascontiguousarray(Q @ Ub[:, :r])
 
 

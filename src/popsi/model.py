@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,12 +91,18 @@ def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFea
     return PopularityFeatures(p, popular, P)
 
 
-def estimate_subspaces(tensor: InteractionTensor, r: int, opts: SvdOptions) -> FeatureSpaces:
-    """User/item bases from the dominant left singular subspaces of the two unfoldings."""
+def estimate_subspaces(
+    tensor: InteractionTensor, r: int, opts: SvdOptions, log: dict | None = None
+) -> FeatureSpaces:
+    """User/item bases from the dominant left singular subspaces of the two unfoldings.
+
+    When `log` is given, each SVD's report goes under `mode1` and `mode2`.
+    """
+    log = {} if log is None else log
     w_opts = replace(opts, rank=r)
     h_opts = replace(opts, rank=r, rng_seed=opts.rng_seed + 1)
-    W = truncated_svd_left(unfold(tensor, 1), w_opts)
-    H = truncated_svd_left(unfold(tensor, 2), h_opts)
+    W = truncated_svd_left(unfold(tensor, 1), w_opts, log.setdefault("mode1", {}))
+    H = truncated_svd_left(unfold(tensor, 2), h_opts, log.setdefault("mode2", {}))
     return FeatureSpaces(W, H, r, debiased=False)
 
 
@@ -129,18 +136,18 @@ def fit(
 
     `pop_counts` defaults to the column counts of the target slice of `tensor`
     (pass training counts explicitly when fitting on a split). When `log` is
-    given it is filled with per-step timings and the refined width.
+    given it is filled with per-step timings, the refined width and the two
+    SVD reports (`svd.mode1`, `svd.mode2`).
     """
-    import time
-
     if opts is None:
         opts = SvdOptions(rank=r)
     if not use_si:
         tensor = InteractionTensor(
             tensor.m1, tensor.m2, [tensor.target], [tensor.behavior_labels[0]]
         )
+    svd_log = None if log is None else log.setdefault("svd", {})
     t0 = time.perf_counter()
-    spaces = estimate_subspaces(tensor, r, opts)
+    spaces = estimate_subspaces(tensor, r, opts, svd_log)
     t1 = time.perf_counter()
     if use_pop:
         if pop_counts is None:

@@ -47,6 +47,25 @@ def test_config_rejects_unknown_boolean(tmp_path, capsys):
     assert f"{path}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("r = abc", "r must be an integer, got 'abc'"),
+        ("p = high", "p must be a number, got 'high'"),
+        ("k_values = 20,x", "k_values must be a comma list of integers, got '20,x'"),
+    ],
+    ids=["r", "p", "k_values"],
+)
+def test_config_rejects_bad_number(tmp_path, capsys, line, message):
+    path = tmp_path / "c.conf"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:2: {message}"
+    assert run(["fit", "--config", path]) == 2
+    assert f"{path}:2: {message}" in capsys.readouterr().err
+
+
 def test_config_unknown_key(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("nonsense = 1\n")
@@ -98,6 +117,11 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     log = json.loads((out / "fit_log.json").read_text())
     assert log["r"] == 6 and log["r_refined"] <= 6
     assert log["steps"]["debias_skipped"] is False
+    for mode in ("mode1", "mode2"):
+        svd = log["svd"][mode]
+        assert set(svd) == {"iterations", "stop", "residual", "sigma_gap"}
+        assert svd["iterations"] >= 4 and svd["stop"] in ("converged", "stalled")
+        assert svd["residual"] >= 0 and svd["sigma_gap"] >= 1
     assert run(["evaluate", "--config", cfg]) == 0
     report = json.loads((out / "report.json").read_text())
     for key in ("recall_at_5", "recall_at_10", "ndcg_at_5", "ndcg_at_10", "pri",
