@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, asdict, field, replace
 from functools import partial
@@ -271,6 +272,18 @@ def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
     return status
 
 
+def _grid_values(param: str, text: str) -> list[float]:
+    """`--values` as finite numbers; an r value must be a whole number."""
+    values = []
+    for token in (v.strip() for v in text.split(",")):
+        value = _convert(float, "a number", param, token, "--values")
+        if not math.isfinite(value) or (param == "r" and not value.is_integer()):
+            kind = "a whole number" if param == "r" else "a finite number"
+            raise ValueError(f"--values: {param} must be {kind}, got {token!r}")
+        values.append(value)
+    return values
+
+
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
@@ -357,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if getattr(args, "behaviors", None):
-            cfg.behaviors = [b.strip() for b in args.behaviors.split(",")]
+            cfg.behaviors = [b.strip() for b in args.behaviors.split(",") if b.strip()]
         if getattr(args, "header", False):
             cfg.has_header = True
         cfg = apply_overrides(cfg, args)
@@ -370,8 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "recommend":
             return cmd_recommend(cfg, args.users)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",")]
-            return cmd_sweep(cfg, args.param, values)
+            return cmd_sweep(cfg, args.param, _grid_values(args.param, args.values))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

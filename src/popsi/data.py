@@ -159,6 +159,10 @@ def build_tensor(
     """Assemble the binary interaction tensor; duplicate triples collapse to one entry."""
     if not behavior_labels:
         raise ValueError("behavior_labels must be non-empty")
+    if not all(behavior_labels):
+        raise ValueError(f"behavior labels must be non-empty strings, got {list(behavior_labels)}")
+    if len(set(behavior_labels)) != len(behavior_labels):
+        raise ValueError(f"behavior labels must be distinct, got {list(behavior_labels)}")
     if not records:
         raise ValueError("cannot build a tensor from zero records")
     labels = list(behavior_labels)
@@ -256,24 +260,44 @@ def write_coordinate_triples(tensor: InteractionTensor, path) -> None:
 
 
 def read_coordinate_triples(path) -> InteractionTensor:
+    """Read the format `write_coordinate_triples` writes; an entry outside the
+    `# dims` box, an entry before that header or a `# behaviors` line with other
+    than n labels is an error naming `path:line`."""
     m1 = m2 = n = None
     labels: list[str] = []
+    labels_line = 0
     entries: list[tuple[int, int, int]] = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("# dims"):
-                _, _, a, b, c = line.split()
-                m1, m2, n = int(a), int(b), int(c)
+                try:
+                    _, _, a, b, c = line.split()
+                    m1, m2, n = int(a), int(b), int(c)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected '# dims m1 m2 n', "
+                                     f"got {line!r}") from None
             elif line.startswith("# behaviors"):
-                labels = line.split()[2:]
+                labels, labels_line = line.split()[2:], lineno
             elif not line.startswith("#"):
-                u, v, k = map(int, line.split())
+                if m1 is None:
+                    raise ValueError(f"{path}:{lineno}: entry before the '# dims' header")
+                try:
+                    u, v, k = map(int, line.split())
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected 'u v k' integers, "
+                                     f"got {line!r}") from None
+                if not (0 <= u < m1 and 0 <= v < m2 and 0 <= k < n):
+                    raise ValueError(f"{path}:{lineno}: entry {line!r} outside "
+                                     f"dims {m1} {m2} {n}")
                 entries.append((u, v, k))
     if m1 is None or not labels:
         raise ValueError(f"missing dims/behaviors header in {path}")
+    if len(labels) != n:
+        raise ValueError(f"{path}:{labels_line}: {len(labels)} behavior labels "
+                         f"for {n} behaviors in '# dims'")
     slices = []
     for k in range(n):
         rows = [u for u, v, kk in entries if kk == k]

@@ -8,7 +8,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import rankdata
 
 from popsi.model import rank_items
 
@@ -82,6 +81,18 @@ def ndcg_at_k(
     return total / n_users
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, ties sharing the mean of their positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(first) - 1]
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties."""
     xs = np.asarray(xs, dtype=float)
@@ -90,8 +101,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("spearman needs two equal-length vectors of length >= 2")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("spearman is undefined for a constant vector")
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,19 @@ def test_ingest_empty_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_ingest_rejects_repeated_behavior(workspace, capsys):
+    tmp_path, cfg = workspace
+    args = ["ingest", "--config", cfg, "--behaviors", "purchase,purchase,click"]
+    assert run(args) == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tensor.txt").exists()
+    # empty entries of the flag are dropped, as in the config file
+    assert run(["ingest", "--config", cfg, "--behaviors", "purchase,,click,"]) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert list(stats["behaviors"]) == ["click", "purchase"]
+    assert stats["target_behavior"] == "purchase" and stats["target_entries"] > 0
+
+
 def test_ingest_unknown_behavior_warns(workspace):
     tmp_path, cfg = workspace
     log = tmp_path / "interactions.csv"
@@ -190,6 +207,23 @@ def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):
     assert "r=100000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("20.7,20", "r must be a whole number, got '20.7'"),
+        ("4,six", "r must be a number, got 'six'"),
+        ("4,nan", "r must be a whole number, got 'nan'"),
+    ],
+    ids=["fraction", "word", "nan"],
+)
+def test_sweep_rejects_bad_value_before_fitting(workspace, capsys, values, message):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    assert run(["sweep", "--config", cfg, "--param", "r", "--values", values]) == 2
+    assert f"error: --values: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_sweep_csv(workspace):
     tmp_path, cfg = workspace
     run(["ingest", "--config", cfg])
@@ -207,3 +241,12 @@ def test_flag_overrides_config(workspace):
     assert run(["fit", "--config", cfg, "--r", "4"]) == 0
     log = json.loads((tmp_path / "out" / "fit_log.json").read_text())
     assert log["r"] == 4
+
+
+def test_cli_import_skips_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import popsi.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

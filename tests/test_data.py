@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,3 +161,53 @@ def test_coordinate_triple_roundtrip(tmp_path):
     assert back.behavior_labels == tensor.behavior_labels
     for a, b in zip(tensor.slices, back.slices):
         assert (a != b).nnz == 0
+
+
+def test_build_tensor_rejects_repeated_or_empty_label():
+    records = _records_grid(3, 3)
+    with pytest.raises(ValueError, match="distinct"):
+        build_tensor(records, ["purchase", "purchase", "click"])
+    with pytest.raises(ValueError, match="non-empty"):
+        build_tensor(records, ["purchase", "", "click"])
+
+
+@pytest.fixture
+def tensor_file(tmp_path):
+    tensor, _, _ = build_tensor(_records_grid(3, 3), LABELS)
+    path = tmp_path / "tensor.txt"
+    write_coordinate_triples(tensor, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("0 0 2", "outside dims"),  # behavior index = n
+        ("999999 0 0", "outside dims"),
+        ("0 -1 1", "outside dims"),
+        ("0 0", "expected 'u v k' integers"),
+    ],
+    ids=["behavior", "row", "negative-col", "short"],
+)
+def test_read_triples_rejects_bad_entry(tensor_file, entry, message):
+    path = tensor_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [entry]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{len(lines) + 1}: .*{message}"):
+        read_coordinate_triples(path)
+
+
+def test_read_triples_rejects_label_count_mismatch(tensor_file):
+    path = tensor_file
+    text = path.read_text().replace("# behaviors purchase click", "# behaviors purchase")
+    path.write_text(text)
+    message = "1 behavior labels for 2 behaviors"
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: {message}"):
+        read_coordinate_triples(path)
+
+
+def test_read_triples_rejects_entry_before_dims(tensor_file):
+    path = tensor_file
+    path.write_text("0 0 0\n" + path.read_text())
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: entry before"):
+        read_coordinate_triples(path)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popsi.metrics import avg_rank_quantiles, ndcg_at_k, pri, recall_at_k, spearman
+from popsi.metrics import (
+    _average_ranks,
+    avg_rank_quantiles,
+    ndcg_at_k,
+    pri,
+    recall_at_k,
+    spearman,
+)
 
 
 # --- brute-force reference implementations, kept independent of the library ---
@@ -120,6 +127,20 @@ def test_spearman_constant_vector_error():
         spearman([1, 1, 1], [1, 2, 3])
     with pytest.raises(ValueError):
         spearman([1, 2], [5])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    xs=st.one_of(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+        ),
+    )
+)
+def test_average_ranks_match_oracle_exactly(xs):
+    # tied values share exact halves, so no rounding separates the two
+    assert _average_ranks(np.asarray(xs, dtype=float)).tolist() == ref_ranks_average_ties(xs)
 
 
 @settings(deadline=None, max_examples=60)
