@@ -2,9 +2,8 @@
 
 from popsi.data import (
     HoldoutSets,
-    IdIndex,
-    InteractionRecord,
     InteractionTensor,
+    ParsedLog,
     SplitSpec,
     build_tensor,
     item_popularity,

@@ -44,8 +44,6 @@ def run_variant(
     k_values: Sequence[int] = (20, 50),
     svd_opts: SvdOptions | None = None,
     holdout: HoldoutSets | None = None,
-    eval_positives: str = "test",
-    exclude_train: bool = True,
 ) -> EvalReport:
     """Fit one named variant and evaluate it on the held-out positives."""
     if name not in VARIANT_NAMES:
@@ -53,8 +51,6 @@ def run_variant(
     if holdout is None:
         holdout = split_holdout(tensor, split)
     pop = item_popularity(holdout.train.target)
-    positives = holdout.test_positives if eval_positives == "test" else holdout.val_positives
-    exclude = holdout.train.target if exclude_train else None
 
     if name == "itempop":
         score_fn = partial(itempop_scores, pop)
@@ -77,5 +73,6 @@ def run_variant(
         "seed": split.rng_seed,
     }
     return evaluate(
-        score_fn, positives, tensor.m1, pop, k_values, exclude=exclude, config=config
+        score_fn, holdout.test_positives, tensor.m1, pop, k_values,
+        exclude=holdout.train.target, config=config,
     )

@@ -159,21 +159,21 @@ def cmd_ingest(cfg: RunConfig) -> int:
         return 2
     try:
         with open(cfg.input) as f:
-            records, stats = parse_interactions(
+            log = parse_interactions(
                 f, cfg.behaviors, delimiter=cfg.delimiter, has_header=cfg.has_header
             )
     except OSError as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return 2
-    if not records:
+    if not len(log.entries):
         print("error: no records", file=sys.stderr)
         return 2
-    tensor, users, items = build_tensor(records, cfg.behaviors)
+    tensor = build_tensor(log, cfg.behaviors)
     out = Path(cfg.out)
     write_effective_config(cfg, out)
     write_coordinate_triples(tensor, out / "tensor.txt")
-    write_index(users, out / "users.txt")
-    write_index(items, out / "items.txt")
+    write_index(log.user_tokens, out / "users.txt")
+    write_index(log.item_tokens, out / "items.txt")
     summary = {
         "users": tensor.m1,
         "items": tensor.m2,
@@ -183,8 +183,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         "target_behavior": tensor.behavior_labels[0],
         "target_entries": int(tensor.target.nnz),
         "target_sparsity": tensor.target.nnz / (tensor.m1 * tensor.m2),
-        "malformed_lines": stats.n_malformed,
-        "unknown_behavior_lines": stats.n_unknown_behavior,
+        "malformed_lines": log.malformed,
+        "unknown_behavior_lines": log.unknown_behavior,
     }
     with open(out / "stats.json", "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
@@ -255,20 +255,21 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
     users, items, model, holdout = _load_fitted(cfg)
-    known = np.array([users.index_of(t) for t in user_tokens if t in users], dtype=np.int64)
+    user_index = {token: u for u, token in enumerate(users)}
+    known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
     recs = rank_items(score_user(model, known), known, cfg.k_values[0], holdout.train.target)
     by_user = {rec.user: rec for rec in recs}
     status = 0
     for token in user_tokens:
-        if token not in users:
+        if token not in user_index:
             print(f"ERR unknown user\t{token}")
             status = 1
             continue
-        rec = by_user[users.index_of(token)]
+        rec = by_user[user_index[token]]
         if rec.truncated:
             print(f"warning: only {len(rec.items)} candidates for {token}", file=sys.stderr)
         for v, s in zip(rec.items, rec.scores):
-            print(f"{token}\t{items.token_of(v)}\t{s:.6g}")
+            print(f"{token}\t{items[v]}\t{s:.6g}")
     return status
 
 
@@ -312,7 +313,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
                 exclude=holdout.train.target,
             )
             rows.append((param, value, report.ndcg[50], report.pri))
-        except Exception as e:
+        except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
             print(f"error: {param}={value} failed: {e}", file=sys.stderr)
             rows.append((param, value, None, None))
             status = 1

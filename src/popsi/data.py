@@ -2,60 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-DEFAULT_SCHEMA = ("user", "item", "behavior", "timestamp")
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    user_id: str
-    item_id: str
-    behavior: str
-    timestamp: Optional[int] = None
-
-
-@dataclass
-class ParseStats:
-    n_records: int = 0
-    n_malformed: int = 0
-    n_unknown_behavior: int = 0
-
-
-class IdIndex:
-    """Bijection between opaque tokens and dense 0-based indices, first-appearance order."""
-
-    def __init__(self):
-        self._forward: dict[str, int] = {}
-        self._reverse: list[str] = []
-
-    def add(self, token: str) -> int:
-        idx = self._forward.get(token)
-        if idx is None:
-            idx = len(self._reverse)
-            self._forward[token] = idx
-            self._reverse.append(token)
-        return idx
-
-    def index_of(self, token: str) -> int:
-        return self._forward[token]
-
-    def token_of(self, idx: int) -> str:
-        return self._reverse[idx]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._forward
-
-    def __len__(self) -> int:
-        return len(self._reverse)
-
-    @property
-    def tokens(self) -> list[str]:
-        return list(self._reverse)
 
 
 @dataclass
@@ -102,29 +55,36 @@ class HoldoutSets:
     test_positives: dict[int, list[int]]
 
 
+@dataclass
+class ParsedLog:
+    """An interaction log as index columns: one (user, item, behavior) row per kept line."""
+
+    entries: np.ndarray  # N x 3 int64; behavior indexes the labels given to the parser
+    user_tokens: list[str]  # user index -> token, in order of first appearance
+    item_tokens: list[str]
+    malformed: int  # lines skipped as malformed
+    unknown_behavior: int  # lines skipped for a behavior outside the labels
+
+
 def parse_interactions(
     lines: Iterable[str],
     behavior_labels: Sequence[str],
-    schema: Sequence[str] = DEFAULT_SCHEMA,
     delimiter: str = ",",
     has_header: bool = False,
-) -> tuple[list[InteractionRecord], ParseStats]:
-    """Parse delimited interaction lines into records.
+) -> ParsedLog:
+    """Parse `user,item,behavior[,timestamp]` lines in one pass.
 
-    Malformed lines and lines with behaviors outside `behavior_labels` are
-    skipped and tallied in the returned stats.
+    Users and items get dense indices in order of first appearance among the
+    kept lines; blank lines are ignored. A line with fewer than three fields,
+    an empty user or item, or a timestamp that is present but not an integer
+    is malformed; a line whose behavior is not in `behavior_labels` is
+    unknown. Both kinds are skipped and counted.
     """
-    labels = set(behavior_labels)
-    try:
-        col = {name: i for i, name in enumerate(schema)}
-        iu, ii, ib = col["user"], col["item"], col["behavior"]
-    except KeyError as e:
-        raise ValueError(f"schema must include user, item, behavior columns: {e}")
-    it = col.get("timestamp")
-    min_cols = max(iu, ii, ib) + 1
-
-    records: list[InteractionRecord] = []
-    stats = ParseStats()
+    label_pos = {b: k for k, b in enumerate(behavior_labels)}
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    columns = array("q")
+    malformed = unknown = 0
     for raw in lines:
         if has_header:
             has_header = False
@@ -133,61 +93,57 @@ def parse_interactions(
         if not line.strip():
             continue
         parts = line.split(delimiter)
-        if len(parts) < min_cols or not parts[iu].strip() or not parts[ii].strip():
-            stats.n_malformed += 1
+        user, item = (parts[0].strip(), parts[1].strip()) if len(parts) >= 3 else ("", "")
+        if not user or not item:
+            malformed += 1
             continue
-        behavior = parts[ib].strip()
-        if behavior not in labels:
-            stats.n_unknown_behavior += 1
-            continue
-        ts = None
-        if it is not None and len(parts) > it and parts[it].strip():
-            try:
-                ts = int(parts[it].strip())
-            except ValueError:
-                stats.n_malformed += 1
-                continue
-        records.append(InteractionRecord(parts[iu].strip(), parts[ii].strip(), behavior, ts))
-        stats.n_records += 1
-    return records, stats
-
-
-def build_tensor(
-    records: Sequence[InteractionRecord],
-    behavior_labels: Sequence[str],
-) -> tuple[InteractionTensor, IdIndex, IdIndex]:
-    """Assemble the binary interaction tensor; duplicate triples collapse to one entry."""
-    if not behavior_labels:
-        raise ValueError("behavior_labels must be non-empty")
-    if not all(behavior_labels):
-        raise ValueError(f"behavior labels must be non-empty strings, got {list(behavior_labels)}")
-    if len(set(behavior_labels)) != len(behavior_labels):
-        raise ValueError(f"behavior labels must be distinct, got {list(behavior_labels)}")
-    if not records:
-        raise ValueError("cannot build a tensor from zero records")
-    labels = list(behavior_labels)
-    label_pos = {b: k for k, b in enumerate(labels)}
-    users, items = IdIndex(), IdIndex()
-    coords: list[set[tuple[int, int]]] = [set() for _ in labels]
-    for rec in records:
-        k = label_pos.get(rec.behavior)
+        k = label_pos.get(parts[2].strip())
         if k is None:
+            unknown += 1
             continue
-        u = users.add(rec.user_id)
-        v = items.add(rec.item_id)
-        coords[k].add((u, v))
-    if len(users) == 0:
-        raise ValueError("no records matched the configured behavior labels")
-    m1, m2 = len(users), len(items)
+        if len(parts) > 3 and parts[3].strip():
+            try:
+                int(parts[3])
+            except ValueError:
+                malformed += 1
+                continue
+        columns.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), k))
+    entries = np.frombuffer(columns, dtype=np.int64).reshape(-1, 3)
+    return ParsedLog(entries, list(users), list(items), malformed, unknown)
+
+
+def build_tensor(log: ParsedLog, behavior_labels: Sequence[str]) -> InteractionTensor:
+    """Assemble the binary interaction tensor of a log parsed with `behavior_labels`;
+    duplicate triples collapse to one entry."""
+    labels = list(behavior_labels)
+    if not labels:
+        raise ValueError("behavior_labels must be non-empty")
+    if not all(labels):
+        raise ValueError(f"behavior labels must be non-empty strings, got {labels}")
+    if any(b.split() != [b] for b in labels):
+        raise ValueError(f"behavior labels must not contain whitespace, got {labels}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"behavior labels must be distinct, got {labels}")
+    if not len(log.entries):
+        raise ValueError("cannot build a tensor from zero records")
+    return _tensor(log.entries, (len(log.user_tokens), len(log.item_tokens), len(labels)), labels)
+
+
+def _tensor(entries: np.ndarray, dims: tuple[int, int, int], labels: list[str]) -> InteractionTensor:
+    """Tensor of N x 3 (u, v, k) entries, one CSR slice per behavior k."""
+    m1, m2, n = dims
     slices = []
-    for entry_set in coords:
-        if entry_set:
-            rows, cols = zip(*sorted(entry_set))
-            data = np.ones(len(rows))
-        else:
-            rows, cols, data = [], [], []
-        slices.append(sp.csr_matrix((data, (rows, cols)), shape=(m1, m2)))
-    return InteractionTensor(m1, m2, slices, labels), users, items
+    for k in range(n):
+        e = entries[entries[:, 2] == k]
+        slices.append(_binary_csr(e[:, 0], e[:, 1], (m1, m2)))
+    return InteractionTensor(m1, m2, slices, labels)
+
+
+def _binary_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix with a 1 at every (row, col) given; a repeated pair counts once."""
+    s = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    s.data[:] = 1.0
+    return s
 
 
 def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
@@ -214,13 +170,7 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
     val_e = entries[n_train : n_train + n_val]
     test_e = entries[n_train + n_val :]
 
-    if len(train_e):
-        train_target = sp.csr_matrix(
-            (np.ones(len(train_e)), (train_e[:, 0], train_e[:, 1])),
-            shape=(tensor.m1, tensor.m2),
-        )
-    else:
-        train_target = sp.csr_matrix((tensor.m1, tensor.m2))
+    train_target = _binary_csr(train_e[:, 0], train_e[:, 1], (tensor.m1, tensor.m2))
     train = InteractionTensor(
         tensor.m1,
         tensor.m2,
@@ -229,10 +179,11 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
     )
 
     def as_per_user(e: np.ndarray) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for u, v in sorted(map(tuple, e)):
-            out.setdefault(int(u), []).append(int(v))
-        return out
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        users, starts = np.unique(e[:, 0], return_index=True)
+        items = e[:, 1].tolist()
+        bounds = starts.tolist() + [len(items)]
+        return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
 
     return HoldoutSets(train, as_per_user(val_e), as_per_user(test_e))
 
@@ -247,78 +198,88 @@ def item_popularity(target_slice: sp.spmatrix) -> np.ndarray:
 
 
 def write_coordinate_triples(tensor: InteractionTensor, path) -> None:
-    triples = []
+    parts = []
     for k, s in enumerate(tensor.slices):
         coo = s.tocoo()
-        triples.extend(zip(coo.row.tolist(), coo.col.tolist(), [k] * s.nnz))
-    triples.sort()
+        parts.append(np.column_stack([coo.row, coo.col, np.full(coo.nnz, k)]))
+    e = np.concatenate(parts)
+    e = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
     with open(path, "w") as f:
         f.write(f"# dims {tensor.m1} {tensor.m2} {tensor.n}\n")
         f.write(f"# behaviors {' '.join(tensor.behavior_labels)}\n")
-        for u, v, k in triples:
-            f.write(f"{u} {v} {k}\n")
+        f.write("%d %d %d\n" * len(e) % tuple(e.ravel().tolist()))
 
 
 def read_coordinate_triples(path) -> InteractionTensor:
     """Read the format `write_coordinate_triples` writes; an entry outside the
     `# dims` box, an entry before that header or a `# behaviors` line with other
-    than n labels is an error naming `path:line`."""
+    than n labels is an error naming `path:line`.
+
+    A file in the writer's layout (the two header lines, then `u v k` integer
+    lines) is converted in one call; any other file, and any file that fails
+    a check, is read again line by line, which names the first bad line.
+    """
+    with open(path) as f:
+        try:
+            dims, labels, _ = _scan_triples(path, [f.readline(), f.readline()])
+            with warnings.catch_warnings():  # an empty body warns, then takes the slow path
+                warnings.simplefilter("ignore", UserWarning)
+                entries = np.loadtxt(f, dtype=np.int64, comments=None, ndmin=2)
+            ok = entries.shape[1] == 3 and bool(((entries >= 0) & (entries < dims)).all())
+        except ValueError:
+            ok = False
+        if not ok:
+            f.seek(0)
+            dims, labels, entries = _scan_triples(path, f)
+    return _tensor(entries, dims, labels)
+
+
+def _scan_triples(path, lines: Iterable[str]):
+    """Dims, labels and N x 3 entries of coordinate-triple lines, checked line by line."""
     m1 = m2 = n = None
     labels: list[str] = []
     labels_line = 0
     entries: list[tuple[int, int, int]] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# dims"):
-                try:
-                    _, _, a, b, c = line.split()
-                    m1, m2, n = int(a), int(b), int(c)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected '# dims m1 m2 n', "
-                                     f"got {line!r}") from None
-            elif line.startswith("# behaviors"):
-                labels, labels_line = line.split()[2:], lineno
-            elif not line.startswith("#"):
-                if m1 is None:
-                    raise ValueError(f"{path}:{lineno}: entry before the '# dims' header")
-                try:
-                    u, v, k = map(int, line.split())
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected 'u v k' integers, "
-                                     f"got {line!r}") from None
-                if not (0 <= u < m1 and 0 <= v < m2 and 0 <= k < n):
-                    raise ValueError(f"{path}:{lineno}: entry {line!r} outside "
-                                     f"dims {m1} {m2} {n}")
-                entries.append((u, v, k))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("# dims"):
+            try:
+                _, _, a, b, c = line.split()
+                m1, m2, n = int(a), int(b), int(c)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected '# dims m1 m2 n', "
+                                 f"got {line!r}") from None
+        elif line.startswith("# behaviors"):
+            labels, labels_line = line.split()[2:], lineno
+        elif not line.startswith("#"):
+            if m1 is None:
+                raise ValueError(f"{path}:{lineno}: entry before the '# dims' header")
+            try:
+                u, v, k = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'u v k' integers, "
+                                 f"got {line!r}") from None
+            if not (0 <= u < m1 and 0 <= v < m2 and 0 <= k < n):
+                raise ValueError(f"{path}:{lineno}: entry {line!r} outside "
+                                 f"dims {m1} {m2} {n}")
+            entries.append((u, v, k))
     if m1 is None or not labels:
         raise ValueError(f"missing dims/behaviors header in {path}")
     if len(labels) != n:
         raise ValueError(f"{path}:{labels_line}: {len(labels)} behavior labels "
                          f"for {n} behaviors in '# dims'")
-    slices = []
-    for k in range(n):
-        rows = [u for u, v, kk in entries if kk == k]
-        cols = [v for u, v, kk in entries if kk == k]
-        slices.append(
-            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m1, m2))
-        )
-    return InteractionTensor(m1, m2, slices, labels)
+    return (m1, m2, n), labels, np.array(entries, dtype=np.int64).reshape(-1, 3)
 
 
-def write_index(index: IdIndex, path) -> None:
+def write_index(tokens: list[str], path) -> None:
+    """One token per line; line i holds the token of index i."""
     with open(path, "w") as f:
-        for token in index.tokens:
-            f.write(token + "\n")
+        f.write("".join(token + "\n" for token in tokens))
 
 
-def read_index(path) -> IdIndex:
-    idx = IdIndex()
+def read_index(path) -> list[str]:
+    """The tokens of an index file, in index order."""
     with open(path) as f:
-        for line in f:
-            tok = line.rstrip("\n")
-            if tok:
-                idx.add(tok)
-    return idx
+        return [token for token in f.read().split("\n") if token]

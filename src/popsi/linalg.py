@@ -114,17 +114,12 @@ def project_out(H: np.ndarray, P: sp.spmatrix | np.ndarray) -> np.ndarray:
         return H.copy()
     G = Pd.T @ Pd
     # one-hot feature matrices give a diagonal Gram matrix; invert it directly
-    if np.allclose(G, np.diag(np.diag(G))):
-        diag = np.diag(G)
-        if np.any(diag <= 0):
-            raise ValueError("P^T P is singular")
-        coef = (Pd.T @ H) / diag[:, None]
-    else:
-        try:
-            coef = np.linalg.solve(G, Pd.T @ H)
-        except np.linalg.LinAlgError:
-            raise ValueError("P^T P is singular") from None
-    return H - Pd @ coef
+    diag = np.diag(G)
+    if not np.allclose(G, np.diag(diag)):
+        raise ValueError("P^T P must be diagonal (one-hot feature columns)")
+    if np.any(diag <= 0):
+        raise ValueError("P^T P is singular")
+    return H - Pd @ ((Pd.T @ H) / diag[:, None])
 
 
 def orthonormalize(H: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:

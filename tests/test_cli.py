@@ -109,6 +109,9 @@ def test_ingest_rejects_repeated_behavior(workspace, capsys):
     args = ["ingest", "--config", cfg, "--behaviors", "purchase,purchase,click"]
     assert run(args) == 2
     assert "distinct" in capsys.readouterr().err
+    # `# behaviors` is a whitespace-separated list, so a label may not contain a space
+    assert run(["ingest", "--config", cfg, "--behaviors", "purchase,add to cart"]) == 2
+    assert "whitespace" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tensor.txt").exists()
     # empty entries of the flag are dropped, as in the config file
     assert run(["ingest", "--config", cfg, "--behaviors", "purchase,,click,"]) == 0
@@ -205,6 +208,18 @@ def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):
     assert rows[0] == "param,value,ndcg_at_50,pri"
     assert rows[1].startswith("r,4,0.") and rows[2] == "r,100000,,"
     assert "r=100000" in capsys.readouterr().err
+
+
+def test_sweep_propagates_programming_errors(workspace, monkeypatch):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr("popsi.cli.fit", broken_fit)
+    with pytest.raises(TypeError, match="broken fit"):
+        run(["sweep", "--config", cfg, "--param", "r", "--values", "4"])
 
 
 @pytest.mark.parametrize(

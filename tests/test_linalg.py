@@ -191,6 +191,12 @@ def test_project_out_empty_columns_identity():
     assert np.array_equal(project_out(H, P), H)
 
 
+def test_project_out_rejects_overlapping_columns():
+    P = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="diagonal"):
+        project_out(np.ones((3, 1)), P)
+
+
 def test_project_out_row_mismatch():
     P = sp.csr_matrix((4, 2))
     with pytest.raises(ValueError):
