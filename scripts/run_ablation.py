@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from popsi.baselines import VARIANT_NAMES, run_variant
-from popsi.data import SplitSpec
+from popsi.data import SplitSpec, split_holdout
 from popsi.synth import SynthConfig, generate
 
 
@@ -27,8 +27,9 @@ def main():
     for seed in range(args.seeds):
         tensor = generate(SynthConfig(m1=args.users, m2=args.items, seed=seed))
         split = SplitSpec(rng_seed=seed)
+        holdout = split_holdout(tensor, split)
         for name in VARIANT_NAMES:
-            rep = run_variant(name, tensor, split, r=args.r, p=args.p)
+            rep = run_variant(name, tensor, split, r=args.r, p=args.p, holdout=holdout)
             rows[name].append(
                 [rep.recall[20], rep.recall[50], rep.ndcg[20], rep.ndcg[50], rep.pri]
             )

@@ -286,6 +286,7 @@ def _grid_values(param: str, text: str) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
+    cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())

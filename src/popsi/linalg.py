@@ -35,6 +35,33 @@ class SvdOptions:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.oversample < 0:
             raise ValueError("oversample must be >= 0")
+        if self.power_iters < 0:
+            raise ValueError(f"power_iters must be >= 0, got {self.power_iters}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_iters < self.power_iters:
+            raise ValueError(f"max_iters {self.max_iters} is below power_iters {self.power_iters}")
+
+
+def _cholesky_qr2(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Y = Q R (Q orthonormal, R upper triangular) by two CholeskyQR passes.
+
+    Each pass is Q <- Q L^-T with L = chol(Q^T Q) (Fukaya et al., ScalA 2014).
+    None when a Cholesky fails or the first pass leaves Q^T Q far from I
+    (cond(Y) beyond ~1e8); the caller then uses Householder QR.
+    """
+    Q, R = Y, np.eye(Y.shape[1])
+    for npass in range(2):
+        G = Q.T @ Q
+        if npass and np.linalg.norm(G - np.eye(len(G))) > 0.5:
+            return None
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        Q = Q @ np.tril(np.linalg.inv(L)).T
+        R = L.T @ R
+    return Q, R
 
 
 def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None) -> np.ndarray:
@@ -43,10 +70,11 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
     each power step applies A A^T and orthonormalizes only the short m x ell
     block. Steps continue past `power_iters` until the projector stops moving
-    (opts.tol) or `max_iters` is hit. Deterministic for a fixed seed. When
-    `log` is given it is filled with the iteration count, the stop reason,
-    the final residual and the gap sigma_r / sigma_{r+1} (None when ell = r
-    or sigma_{r+1} = 0).
+    (opts.tol) or `max_iters` is hit. Every QR is CholeskyQR2, with
+    Householder QR for blocks too ill-conditioned for it. Deterministic for a
+    fixed seed. When `log` is given it is filled with the iteration count, the
+    stop reason, the final residual, the gap sigma_r / sigma_{r+1} (None when
+    ell = r or sigma_{r+1} = 0) and the number of Householder fallbacks.
     """
     m, n = A.shape
     r = opts.rank
@@ -60,16 +88,27 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
     A = A.tocsr()
     At = A.T.tocsr()
 
-    G = rng.standard_normal((n, ell))
-    Q, _ = np.linalg.qr(A @ G)
+    fallbacks = 0  # blocks that took Householder QR
+
+    def qr(Y):
+        nonlocal fallbacks
+        QR = _cholesky_qr2(Y)
+        if QR is None:
+            fallbacks += 1
+            QR = np.linalg.qr(Y)
+        return QR
+
+    Q, _ = qr(A @ rng.standard_normal((n, ell)))
     residual = np.inf
     stalled = 0
     for it in range(1, opts.max_iters + 1):
-        Q_new, _ = np.linalg.qr(A @ (At @ Q))
-        # projector movement of the leading r columns between iterations
-        lead = Q_new[:, :r]
+        Q_new, _ = qr(A @ (At @ Q))
         prev = residual
-        residual = np.linalg.norm(lead - Q[:, :r] @ (Q[:, :r].T @ lead))
+        # projector movement of the leading r columns between iterations; first
+        # read (as prev) at step power_iters
+        if it >= opts.power_iters - 1:
+            lead = Q_new[:, :r]
+            residual = np.linalg.norm(lead - Q[:, :r] @ (Q[:, :r].T @ lead))
         Q = Q_new
         if it < opts.power_iters:
             continue
@@ -87,7 +126,7 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
 
     # Rayleigh-Ritz: Q^T A = R^T Z^T with Z orthonormal, so the left singular
     # vectors of Q^T A are those of the ell x ell factor R^T
-    R = np.linalg.qr(At @ Q, mode="r")
+    _, R = qr(At @ Q)
     Ub, s, _ = np.linalg.svd(R.T)
     if log is not None:
         log.update(
@@ -95,6 +134,7 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
             stop=stop,
             residual=float(residual),
             sigma_gap=float(s[r - 1] / s[r]) if ell > r and s[r] > 0 else None,
+            qr_fallbacks=fallbacks,
         )
     return np.ascontiguousarray(Q @ Ub[:, :r])
 

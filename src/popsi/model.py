@@ -106,19 +106,26 @@ def estimate_subspaces(
     return FeatureSpaces(W, H, r, debiased=False)
 
 
-def debias_item_space(spaces: FeatureSpaces, P: sp.spmatrix) -> FeatureSpaces:
+def debias_item_space(
+    spaces: FeatureSpaces, P: sp.spmatrix, log: dict | None = None
+) -> FeatureSpaces:
     """Project the item basis onto the orthogonal complement of range(P), then re-orthonormalize.
 
     Repeats the projection if rounding reintroduces a popularity component,
-    so the returned basis always satisfies max|P^T H| <= ORTHO_TOL.
+    so the returned basis always satisfies max|P^T H| <= ORTHO_TOL. When `log`
+    is given it gets the rounds run (`rounds`) and the final max|P^T H|
+    (`max_abs_pth`).
     """
     H = spaces.H
-    for _ in range(3):
+    for rounds in range(1, 4):
         H = orthonormalize(project_out(H, P))
-        if np.max(np.abs(P.T @ H)) <= ORTHO_TOL:
+        max_abs_pth = float(np.max(np.abs(P.T @ H)))
+        if max_abs_pth <= ORTHO_TOL:
             break
     else:
         raise RuntimeError("debias projection failed to reach orthogonality tolerance")
+    if log is not None:
+        log.update(rounds=rounds, max_abs_pth=max_abs_pth)
     return FeatureSpaces(spaces.W, H, spaces.r, debiased=True)
 
 
@@ -136,8 +143,9 @@ def fit(
 
     `pop_counts` defaults to the column counts of the target slice of `tensor`
     (pass training counts explicitly when fitting on a split). When `log` is
-    given it is filled with per-step timings, the refined width and the two
-    SVD reports (`svd.mode1`, `svd.mode2`).
+    given it is filled with per-step timings, the refined width, the two
+    SVD reports (`svd.mode1`, `svd.mode2`) and the debias report (`debias`,
+    None when `use_pop` is off).
     """
     if opts is None:
         opts = SvdOptions(rank=r)
@@ -146,6 +154,7 @@ def fit(
             tensor.m1, tensor.m2, [tensor.target], [tensor.behavior_labels[0]]
         )
     svd_log = None if log is None else log.setdefault("svd", {})
+    debias_log = {} if use_pop else None
     t0 = time.perf_counter()
     spaces = estimate_subspaces(tensor, r, opts, svd_log)
     t1 = time.perf_counter()
@@ -153,13 +162,14 @@ def fit(
         if pop_counts is None:
             pop_counts = np.asarray(tensor.target.sum(axis=0)).ravel()
         features = build_popularity_features(pop_counts, p)
-        spaces = debias_item_space(spaces, features.P)
+        spaces = debias_item_space(spaces, features.P, debias_log)
     t2 = time.perf_counter()
     cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
     t3 = time.perf_counter()
     if log is not None:
         log["r"] = r
         log["r_refined"] = spaces.H.shape[1]
+        log["debias"] = debias_log
         log["steps"] = {
             "subspace_svd_seconds": t1 - t0,
             "debias_seconds": (t2 - t1) if use_pop else None,

@@ -70,6 +70,18 @@ def test_config_rejects_bad_number(tmp_path, capsys, line, message):
     assert f"{path}:2: {message}" in capsys.readouterr().err
 
 
+def test_fit_rejects_negative_power_iters(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    bad = tmp_path / "bad.conf"
+    bad.write_text(Path(cfg).read_text() + "power_iters = -5\n")
+    assert run(["fit", "--config", bad]) == 2
+    assert "power_iters must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.bin").exists()
+    assert run(["sweep", "--config", bad, "--param", "p", "--values", "0.1"]) == 2
+    assert "power_iters must be >= 0, got -5" in capsys.readouterr().err
+
+
 def test_config_unknown_key(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("nonsense = 1\n")
@@ -139,9 +151,12 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     assert log["steps"]["debias_skipped"] is False
     for mode in ("mode1", "mode2"):
         svd = log["svd"][mode]
-        assert set(svd) == {"iterations", "stop", "residual", "sigma_gap"}
+        assert set(svd) == {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks"}
         assert svd["iterations"] >= 4 and svd["stop"] in ("converged", "stalled")
         assert svd["residual"] >= 0 and svd["sigma_gap"] >= 1
+        assert 0 <= svd["qr_fallbacks"] <= svd["iterations"] + 2
+    assert set(log["debias"]) == {"rounds", "max_abs_pth"}
+    assert 1 <= log["debias"]["rounds"] <= 3 and 0 <= log["debias"]["max_abs_pth"] <= 1e-10
     assert run(["evaluate", "--config", cfg]) == 0
     report = json.loads((out / "report.json").read_text())
     for key in ("recall_at_5", "recall_at_10", "ndcg_at_5", "ndcg_at_10", "pri",
@@ -157,6 +172,7 @@ def test_fit_no_pop_skips_debias(workspace):
     log = json.loads((tmp_path / "out" / "fit_log.json").read_text())
     assert log["steps"]["debias_skipped"] is True
     assert log["steps"]["debias_seconds"] is None
+    assert log["debias"] is None
 
 
 def test_fit_deterministic_model_files(workspace):

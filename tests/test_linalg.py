@@ -7,6 +7,7 @@ from popsi.linalg import (
     ORTHO_TOL,
     SvdConvergenceError,
     SvdOptions,
+    _cholesky_qr2,
     orthonormalize,
     project_out,
     truncated_svd_left,
@@ -58,6 +59,83 @@ def graded_matrix(rng, m, n, r, ratio, gap):
 
 def sparse_binary(rng, m, n, density):
     return sp.random(m, n, density=density, random_state=rng, data_rvs=np.ones, format="csr")
+
+
+def graded_block(rng, m, n, kappa):
+    """Dense m x n block whose singular values are log-spaced from 1 down to 1/kappa."""
+    s = np.logspace(0, -np.log10(kappa), n)
+    return random_orthonormal(rng, m, n) @ np.diag(s) @ random_orthonormal(rng, n, n).T
+
+
+def orthonormality_error(Q):
+    return np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"power_iters": -5}, "power_iters must be >= 0, got -5"),
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        # the loop would end before the stop rule is ever read
+        ({"power_iters": 70}, "max_iters 60 is below power_iters 70"),
+        ({"rank": 0}, "rank must be >= 1, got 0"),
+    ],
+    ids=["power_iters", "max_iters", "max_below_power", "rank"],
+)
+def test_svd_options_reject_meaningless(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SvdOptions(**{"rank": 3, **kwargs})
+
+
+def test_cholesky_qr2_matches_householder():
+    Y = graded_block(np.random.default_rng(0), 2000, 60, 1e4)
+    Q, R = _cholesky_qr2(Y)
+    Qh, _ = np.linalg.qr(Y)
+    # same nested column spans as Householder, column by column
+    for k in range(1, 61):
+        assert subspace_angle_sin(Q[:, :k], Qh[:, :k]) <= 1e-10
+    assert orthonormality_error(Q) <= 1e-13
+    assert np.array_equal(R, np.triu(R))
+    assert np.linalg.norm(Q @ R - Y) <= 1e-13 * np.linalg.norm(Y)
+
+
+def test_cholesky_qr2_declines_or_is_orthonormal():
+    # past cond ~1e8 the first pass may factor but leave Q^T Q far from I, and a
+    # second pass from there can end short of orthonormal (in this sweep at
+    # 1e10.25 and 1e10.75); the helper must decline those blocks
+    for kappa in 10 ** np.arange(9, 11.01, 0.25):
+        for seed in range(10):
+            out = _cholesky_qr2(graded_block(np.random.default_rng(seed), 200, 10, kappa))
+            assert out is None or orthonormality_error(out[0]) <= 1e-13
+
+
+def test_cholesky_qr2_declines_repeated_columns():
+    col = np.random.default_rng(1).standard_normal((100, 1))
+    assert _cholesky_qr2(np.repeat(col, 5, axis=1)) is None
+
+
+def test_svd_falls_back_on_repeated_columns():
+    # rank 2 with ell = 12: every block of the iteration is rank-deficient
+    B = sparse_binary(np.random.default_rng(3), 40, 2, 0.5).toarray()
+    A = sp.csr_matrix(np.tile(B, (1, 8)))
+    log = {}
+    Q = truncated_svd_left(A, SvdOptions(rank=2, rng_seed=0), log)
+    assert log["qr_fallbacks"] >= 1
+    assert orthonormality_error(Q) <= 1e-12
+    assert subspace_angle_sin(Q, np.linalg.svd(B, full_matrices=False)[0]) <= 1e-8
+
+
+def test_svd_falls_back_on_ill_conditioned_block():
+    # ell = n = 15 and sigma_1 / sigma_15 = 1e12: the Gaussian start block is
+    # beyond CholeskyQR2; once Q aligns with the singular vectors the blocks are
+    # only column-graded, which Cholesky QR is invariant to
+    A = sp.csr_matrix(graded_block(np.random.default_rng(4), 120, 15, 1e12))
+    log = {}
+    Q = truncated_svd_left(A, SvdOptions(rank=5, oversample=10, rng_seed=0), log)
+    assert log["qr_fallbacks"] >= 1
+    assert orthonormality_error(Q) <= 1e-12
+    dense = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :5]
+    assert subspace_angle_sin(Q, dense) <= 1e-8
 
 
 def test_svd_diagonal_matrix():
@@ -141,7 +219,7 @@ def test_svd_log_converged_on_gap():
     A = gapped_sparse_matrix(np.random.default_rng(5), 50, 80, r=5)
     log = {}
     truncated_svd_left(A, SvdOptions(rank=5, rng_seed=1), log)
-    assert log["stop"] == "converged"
+    assert log["stop"] == "converged" and log["qr_fallbacks"] == 0
     assert log["iterations"] == 4 and log["residual"] <= 1e-10
     s = np.linalg.svd(A.toarray(), compute_uv=False)
     assert log["sigma_gap"] == pytest.approx(s[4] / s[5], rel=0.05)
@@ -151,7 +229,7 @@ def test_svd_log_stalled_without_gap():
     A = sparse_binary(np.random.default_rng(8), 200, 150, 0.05)
     log = {}
     truncated_svd_left(A, SvdOptions(rank=5, rng_seed=0), log)
-    assert log["stop"] == "stalled"
+    assert log["stop"] == "stalled" and log["qr_fallbacks"] == 0
     assert log["residual"] > 1e-10 and log["sigma_gap"] < 1.05
 
 
