@@ -50,9 +50,9 @@ class RunConfig:
     def split_spec(self) -> SplitSpec:
         return SplitSpec((self.train_ratio, self.val_ratio, self.test_ratio), self.seed)
 
-    def svd_opts(self, rank: int | None = None) -> SvdOptions:
+    def svd_opts(self) -> SvdOptions:
         return SvdOptions(
-            rank=rank or self.r,
+            rank=self.r,
             oversample=self.oversample,
             power_iters=self.power_iters,
             rng_seed=self.seed,
@@ -286,7 +286,7 @@ def _grid_values(param: str, text: str) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
-    cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
+    opts = cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
@@ -303,7 +303,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
         try:
             model = fit(
                 holdout.train, r=r, p=p, use_si=cfg.use_si, use_pop=cfg.use_pop,
-                opts=cfg.svd_opts(rank=r), pop_counts=pop,
+                opts=opts, pop_counts=pop,
             )
             report = evaluate(
                 partial(score_user, model),
