@@ -10,7 +10,7 @@ from popsi.data import (
     parse_interactions,
     split_holdout,
 )
-from popsi.baselines import VARIANT_NAMES, itempop_recommend, run_variant
+from popsi.baselines import VARIANT_NAMES, run_variant
 from popsi.linalg import SvdOptions, orthonormalize, project_out, truncated_svd_left
 from popsi.model import (
     FeatureSpaces,

@@ -6,12 +6,11 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from popsi.data import HoldoutSets, InteractionTensor, SplitSpec, item_popularity, split_holdout
 from popsi.linalg import SvdOptions
 from popsi.metrics import EvalReport, evaluate
-from popsi.model import RecommendationList, fit, rank_items, score_user
+from popsi.model import fit, score_user
 
 # variant name -> (use_si, use_pop); ItemPop has no fit flags
 VARIANT_FLAGS = {
@@ -26,13 +25,6 @@ VARIANT_NAMES = ("itempop",) + tuple(VARIANT_FLAGS)
 def itempop_scores(pop_counts: np.ndarray, users) -> np.ndarray:
     """ItemPop score block: every user's row is the item popularity counts."""
     return np.tile(np.asarray(pop_counts, dtype=float), (len(users), 1))
-
-
-def itempop_recommend(
-    pop_counts: np.ndarray, users, K: int, exclude: sp.csr_matrix | None = None
-) -> list[RecommendationList]:
-    """Most-popular-first lists, identical for every user before exclusion."""
-    return rank_items(itempop_scores(pop_counts, users), users, K, exclude)
 
 
 def run_variant(
@@ -60,7 +52,6 @@ def run_variant(
         model = fit(
             holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
             opts=svd_opts or SvdOptions(rank=r, rng_seed=split.rng_seed),
-            pop_counts=pop,
         )
         score_fn = partial(score_user, model)
 

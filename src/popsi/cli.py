@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -59,26 +59,32 @@ class RunConfig:
         )
 
 
-_BOOL_KEYS = {"has_header", "use_si", "use_pop"}
 _BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                 "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = {"seed", "r", "oversample", "power_iters"}
-_FLOAT_KEYS = {"train_ratio", "val_ratio", "test_ratio", "p"}
+# RunConfig field type -> (parser of a config value or flag, what a value must be)
+_PARSERS = {
+    "bool": (lambda v: _BOOL_VALUES[v.lower()], f"one of {', '.join(_BOOL_VALUES)}"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "list[str]": (lambda v: [b.strip() for b in v.split(",") if b.strip()], "a comma list"),
+    "list[int]": (lambda v: [int(k) for k in v.split(",")], "a comma list of integers"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _convert(convert, kind: str, key: str, value: str, where: str):
     try:
         return convert(value)
-    except ValueError:
+    except (ValueError, KeyError):
         raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Flat `key = value` text file; unknown keys and unparsable values are rejected."""
-    cfg = RunConfig()
+def load_config(path: str | None) -> dict:
+    """Settings of a flat `key = value` file; unknown keys and unparsable values are rejected."""
+    settings = {}
     if path is None:
-        return cfg
-    valid = set(asdict(cfg))
+        return settings
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -89,61 +95,36 @@ def load_config(path: str | None) -> RunConfig:
                 raise ValueError(f"{where}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in valid:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"{where}: unknown config key {key!r}")
-            if key in _BOOL_KEYS:
-                if value.lower() not in _BOOL_VALUES:
-                    raise ValueError(f"{where}: {key} must be one of "
-                                     f"{', '.join(_BOOL_VALUES)}, got {value!r}")
-                setattr(cfg, key, _BOOL_VALUES[value.lower()])
-            elif key in _INT_KEYS:
-                setattr(cfg, key, _convert(int, "an integer", key, value, where))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, _convert(float, "a number", key, value, where))
-            elif key == "behaviors":
-                cfg.behaviors = [b.strip() for b in value.split(",") if b.strip()]
-            elif key == "k_values":
-                cfg.k_values = _convert(lambda v: [int(k) for k in v.split(",")],
-                                        "a comma list of integers", key, value, where)
-            else:
-                setattr(cfg, key, value)
+            settings[key] = _convert(*_PARSERS[_FIELD_TYPES[key]], key, value, where)
+    return settings
+
+
+def _resolve_config(command: str, settings: dict) -> RunConfig:
+    """Defaults < the run's recorded effective_config.json (every command but ingest) < settings.
+
+    `evaluate` and `recommend` must use the split the run was fitted on.
+    """
+    out = Path(settings.setdefault("out", RunConfig.out))
+    recorded = RunConfig()
+    if command != "ingest":
+        try:
+            recorded = replace(recorded, **json.loads((out / "effective_config.json").read_text()))
+        except FileNotFoundError:
+            raise ValueError(f"run directory {out} has no effective_config.json; "
+                             "run `popsi ingest` into it first") from None
+    cfg = replace(recorded, **settings)
+    if command in ("evaluate", "recommend") and cfg.split_spec() != recorded.split_spec():
+        raise ValueError(f"split {cfg.split_spec()} differs from {recorded.split_spec()}, "
+                         f"recorded in {out / 'effective_config.json'}")
     return cfg
 
 
-def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """CLI flags win over the config file."""
-    updates = {}
-    if getattr(args, "input", None):
-        updates["input"] = args.input
-    if getattr(args, "delimiter", None):
-        updates["delimiter"] = args.delimiter
-    if getattr(args, "r", None) is not None:
-        updates["r"] = args.r
-    if getattr(args, "p", None) is not None:
-        updates["p"] = args.p
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "k", None):
-        updates["k_values"] = list(args.k)
-    if getattr(args, "out", None):
-        updates["out"] = args.out
-    if getattr(args, "no_si", False):
-        updates["use_si"] = False
-    if getattr(args, "no_pop", False):
-        updates["use_pop"] = False
-    cfg = replace(cfg, **updates)
-    target = getattr(args, "target_behavior", None)
-    if target:
-        rest = [b for b in cfg.behaviors if b != target]
-        cfg.behaviors = [target] + rest
-    return cfg
-
-
-def write_effective_config(cfg: RunConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "effective_config.json", "w") as f:
-        json.dump(asdict(cfg), f, sort_keys=True, indent=2)
-        f.write("\n")
+def _write_json(path: Path, obj) -> str:
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    path.write_text(text)
+    return text
 
 
 def _load_ingested(out: Path):
@@ -170,7 +151,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         return 2
     tensor = build_tensor(log, cfg.behaviors)
     out = Path(cfg.out)
-    write_effective_config(cfg, out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "effective_config.json", asdict(cfg))
     write_coordinate_triples(tensor, out / "tensor.txt")
     write_index(log.user_tokens, out / "users.txt")
     write_index(log.item_tokens, out / "items.txt")
@@ -186,10 +168,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         "malformed_lines": log.malformed,
         "unknown_behavior_lines": log.unknown_behavior,
     }
-    with open(out / "stats.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(_write_json(out / "stats.json", summary), end="")
     return 0
 
 
@@ -197,7 +176,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
-    pop = item_popularity(holdout.train.target)
     log: dict = {}
     model = fit(
         holdout.train,
@@ -206,14 +184,11 @@ def cmd_fit(cfg: RunConfig) -> int:
         use_si=cfg.use_si,
         use_pop=cfg.use_pop,
         opts=cfg.svd_opts(),
-        pop_counts=pop,
         log=log,
     )
-    write_effective_config(cfg, out)
+    _write_json(out / "effective_config.json", asdict(cfg))
     save_model(model, out / "model.bin")
-    with open(out / "fit_log.json", "w") as f:
-        json.dump(log, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(out / "fit_log.json", log)
     print(f"fitted r={log['r']} r_refined={log['r_refined']} -> {out / 'model.bin'}")
     return 0
 
@@ -246,10 +221,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "seed": cfg.seed,
         },
     )
-    text = report.to_json() + "\n"
-    with open(Path(cfg.out) / "report.json", "w") as f:
-        f.write(text)
-    print(text, end="")
+    print(_write_json(Path(cfg.out) / "report.json", report.to_dict()), end="")
     return 0
 
 
@@ -291,19 +263,15 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
     pop = item_popularity(holdout.train.target)
-    seen = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
     rows = []
     status = 0
-    for value in seen:
+    for value in dict.fromkeys(values):
         r = int(value) if param == "r" else cfg.r
         p = float(value) if param == "p" else cfg.p
         try:
             model = fit(
                 holdout.train, r=r, p=p, use_si=cfg.use_si, use_pop=cfg.use_pop,
-                opts=opts, pop_counts=pop,
+                opts=opts,
             )
             report = evaluate(
                 partial(score_user, model),
@@ -335,57 +303,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add(name: str, summary: str):
+        """A subparser that stores a flag under its RunConfig field name, and only if given."""
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config")
         sp.add_argument("--input")
         sp.add_argument("--delimiter")
         sp.add_argument("--target-behavior")
         sp.add_argument("--r", type=int)
         sp.add_argument("--p", type=float)
-        sp.add_argument("--no-si", action="store_true")
-        sp.add_argument("--no-pop", action="store_true")
-        sp.add_argument("--k", type=int, action="append")
+        sp.add_argument("--no-si", dest="use_si", action="store_false")
+        sp.add_argument("--no-pop", dest="use_pop", action="store_false")
+        sp.add_argument("--k", dest="k_values", type=int, action="append")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out")
+        return sp
 
-    sp = sub.add_parser("ingest", help="parse raw logs into tensor + index files")
-    common(sp)
-    sp.add_argument("--behaviors", help="comma list, target behavior first")
-    sp.add_argument("--header", action="store_true", help="input has a header row")
+    sp = add("ingest", "parse raw logs into tensor + index files")
+    sp.add_argument("--behaviors", type=_PARSERS["list[str]"][0],
+                    help="comma list, target behavior first")
+    sp.add_argument("--header", dest="has_header", action="store_true",
+                    help="input has a header row")
 
-    common(sub.add_parser("fit", help="fit a model on the training split"))
-    common(sub.add_parser("evaluate", help="evaluate a fitted model on the test split"))
+    add("fit", "fit a model on the training split")
+    add("evaluate", "evaluate a fitted model on the test split")
 
-    sp = sub.add_parser("recommend", help="print top-K lists for user tokens")
-    common(sp)
+    sp = add("recommend", "print top-K lists for user tokens")
     sp.add_argument("users", nargs="+", help="user tokens to recommend for")
 
-    sp = sub.add_parser("sweep", help="grid sweep over r or p, evaluated on validation")
-    common(sp)
+    sp = add("sweep", "grid sweep over r or p, evaluated on validation")
     sp.add_argument("--param", choices=["r", "p"], required=True)
     sp.add_argument("--values", required=True, help="comma list of grid values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args["command"]
     try:
-        cfg = load_config(args.config)
-        if getattr(args, "behaviors", None):
-            cfg.behaviors = [b.strip() for b in args.behaviors.split(",") if b.strip()]
-        if getattr(args, "header", False):
-            cfg.has_header = True
-        cfg = apply_overrides(cfg, args)
-        if args.command == "ingest":
+        settings = load_config(args.get("config"))
+        settings.update((key, value) for key, value in args.items() if key in _FIELD_TYPES)
+        cfg = _resolve_config(command, settings)
+        target = args.get("target_behavior")
+        if target:
+            cfg.behaviors = [target] + [b for b in cfg.behaviors if b != target]
+        if command == "ingest":
             return cmd_ingest(cfg)
-        if args.command == "fit":
+        if command == "fit":
             return cmd_fit(cfg)
-        if args.command == "evaluate":
+        if command == "evaluate":
             return cmd_evaluate(cfg)
-        if args.command == "recommend":
-            return cmd_recommend(cfg, args.users)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.param, _grid_values(args.param, args.values))
+        if command == "recommend":
+            return cmd_recommend(cfg, args["users"])
+        if command == "sweep":
+            return cmd_sweep(cfg, args["param"], _grid_values(args["param"], args["values"]))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -80,6 +80,8 @@ def parse_interactions(
     is malformed; a line whose behavior is not in `behavior_labels` is
     unknown. Both kinds are skipped and counted.
     """
+    if not delimiter:
+        raise ValueError("delimiter must be a non-empty string")
     label_pos = {b: k for k, b in enumerate(behavior_labels)}
     users: dict[str, int] = {}
     items: dict[str, int] = {}

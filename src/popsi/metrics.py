@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -34,9 +33,6 @@ class EvalReport:
         out["users_skipped_pri"] = self.users_skipped_pri
         out["config"] = self.config
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def recall_at_k(

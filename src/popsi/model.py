@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from popsi.data import InteractionTensor
+from popsi.data import InteractionTensor, item_popularity
 from popsi.linalg import (
     ORTHO_TOL,
     SvdOptions,
@@ -35,7 +35,6 @@ class FeatureSpaces:
     W: np.ndarray  # m1 x r, orthonormal columns
     H: np.ndarray  # m2 x r' (r' <= r after refinement)
     r: int
-    debiased: bool = False
 
 
 @dataclass
@@ -103,7 +102,7 @@ def estimate_subspaces(
     h_opts = replace(opts, rank=r, rng_seed=opts.rng_seed + 1)
     W = truncated_svd_left(unfold(tensor, 1), w_opts, log.setdefault("mode1", {}))
     H = truncated_svd_left(unfold(tensor, 2), h_opts, log.setdefault("mode2", {}))
-    return FeatureSpaces(W, H, r, debiased=False)
+    return FeatureSpaces(W, H, r)
 
 
 def debias_item_space(
@@ -126,7 +125,7 @@ def debias_item_space(
         raise RuntimeError("debias projection failed to reach orthogonality tolerance")
     if log is not None:
         log.update(rounds=rounds, max_abs_pth=max_abs_pth)
-    return FeatureSpaces(spaces.W, H, spaces.r, debiased=True)
+    return FeatureSpaces(spaces.W, H, spaces.r)
 
 
 def fit(
@@ -136,16 +135,14 @@ def fit(
     use_si: bool = True,
     use_pop: bool = True,
     opts: SvdOptions | None = None,
-    pop_counts: np.ndarray | None = None,
     log: dict | None = None,
 ) -> PreferenceModel:
     """Full fitting pipeline; ablation flags drop side information and/or the debias step.
 
-    `pop_counts` defaults to the column counts of the target slice of `tensor`
-    (pass training counts explicitly when fitting on a split). When `log` is
-    given it is filled with per-step timings, the refined width, the two
-    SVD reports (`svd.mode1`, `svd.mode2`) and the debias report (`debias`,
-    None when `use_pop` is off).
+    Items are labelled popular by their counts in the target slice of
+    `tensor`. When `log` is given it is filled with per-step timings, the
+    refined width, the two SVD reports (`svd.mode1`, `svd.mode2`) and the
+    debias report (`debias`, None when `use_pop` is off).
     """
     if opts is None:
         opts = SvdOptions(rank=r)
@@ -159,9 +156,7 @@ def fit(
     spaces = estimate_subspaces(tensor, r, opts, svd_log)
     t1 = time.perf_counter()
     if use_pop:
-        if pop_counts is None:
-            pop_counts = np.asarray(tensor.target.sum(axis=0)).ravel()
-        features = build_popularity_features(pop_counts, p)
+        features = build_popularity_features(item_popularity(tensor.target), p)
         spaces = debias_item_space(spaces, features.P, debias_log)
     t2 = time.perf_counter()
     cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
@@ -236,7 +231,6 @@ def save_model(model: PreferenceModel, path) -> None:
         "m2": model.spaces.H.shape[0],
         "r": model.spaces.r,
         "r_refined": model.spaces.H.shape[1],
-        "debiased": model.spaces.debiased,
         "p": model.p,
         "use_si": model.use_si,
         "use_pop": model.use_pop,
@@ -282,7 +276,7 @@ def load_model(path) -> PreferenceModel:
         cores = [read_array(tuple(s)) for s in meta["core_shapes"]]
         if f.read(1):
             raise ValueError(f"model file {path} has trailing bytes after its arrays")
-    spaces = FeatureSpaces(W, H, meta["r"], debiased=meta["debiased"])
+    spaces = FeatureSpaces(W, H, meta["r"])
     return PreferenceModel(
         spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"], meta["use_pop"]
     )

@@ -5,31 +5,32 @@ import scipy.sparse as sp
 from conftest import random_binary_tensor
 from popsi.baselines import (
     VARIANT_FLAGS,
-    itempop_recommend,
+    itempop_scores,
     run_variant,
 )
 from popsi.data import SplitSpec
+from popsi.model import rank_items
 
 
 def test_itempop_sort_by_count():
-    (rec,) = itempop_recommend(np.array([5, 2, 7]), users=[0], K=2)
+    (rec,) = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2)
     assert rec.items == [2, 0]
 
 
 def test_itempop_exclusion():
     exclude = sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))
-    (rec,) = itempop_recommend(np.array([5, 2, 7]), users=[0], K=2, exclude=exclude)
+    (rec,) = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2, exclude=exclude)
     assert rec.items == [0, 1]
 
 
 def test_itempop_zero_counts_tie_rule():
-    (rec,) = itempop_recommend(np.zeros(4), users=[0], K=3)
+    (rec,) = rank_items(itempop_scores(np.zeros(4), [0]), [0], K=3)
     assert rec.items == [0, 1, 2]
 
 
 def test_itempop_invalid_k():
     with pytest.raises(ValueError):
-        itempop_recommend(np.array([1.0]), [0], 0)
+        rank_items(itempop_scores(np.array([1.0]), [0]), [0], 0)
 
 
 def test_variant_flag_mapping():

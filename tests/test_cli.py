@@ -37,9 +37,8 @@ def run(args):
 def test_config_parsing(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("r = 32\np = 0.3\nuse_pop = false\nbehaviors = buy, view\n# comment\n")
-    cfg = load_config(path)
-    assert cfg.r == 32 and cfg.p == 0.3 and cfg.use_pop is False
-    assert cfg.behaviors == ["buy", "view"]
+    settings = load_config(path)
+    assert settings == {"r": 32, "p": 0.3, "use_pop": False, "behaviors": ["buy", "view"]}
 
 
 def test_config_rejects_unknown_boolean(tmp_path, capsys):
@@ -101,9 +100,9 @@ def test_ingest_outputs(workspace, capsys):
     assert (out / "tensor.txt").exists() and (out / "users.txt").exists()
     # effective config round-trips
     effective = json.loads((out / "effective_config.json").read_text())
-    from dataclasses import asdict
+    from dataclasses import asdict, replace
 
-    assert effective == asdict(load_config(cfg))
+    assert effective == asdict(replace(RunConfig(), **load_config(cfg)))
 
 
 def test_ingest_empty_file(tmp_path, capsys):
@@ -130,6 +129,19 @@ def test_ingest_rejects_repeated_behavior(workspace, capsys):
     stats = json.loads((tmp_path / "out" / "stats.json").read_text())
     assert list(stats["behaviors"]) == ["click", "purchase"]
     assert stats["target_behavior"] == "purchase" and stats["target_entries"] > 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ingest_rejects_empty_delimiter(workspace, capsys, source):
+    tmp_path, cfg = workspace
+    if source == "flag":
+        args = ["ingest", "--config", cfg, "--delimiter", ""]
+    else:
+        (tmp_path / "empty.conf").write_text(Path(cfg).read_text() + "delimiter =\n")
+        args = ["ingest", "--config", tmp_path / "empty.conf"]
+    assert run(args) == 2
+    assert "error: delimiter must be a non-empty string" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tensor.txt").exists()
 
 
 def test_ingest_unknown_behavior_warns(workspace):
@@ -272,6 +284,38 @@ def test_flag_overrides_config(workspace):
     assert run(["fit", "--config", cfg, "--r", "4"]) == 0
     log = json.loads((tmp_path / "out" / "fit_log.json").read_text())
     assert log["r"] == 4
+
+
+def test_later_commands_start_from_recorded_config(workspace, capsys):
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--out", out, "--seed", 5]) == 0
+    assert json.loads((out / "fit_log.json").read_text())["r"] == 6  # recorded at ingest
+    recorded = json.loads((out / "effective_config.json").read_text())
+    assert recorded["seed"] == 5 and recorded["behaviors"] == ["purchase", "click"]
+    results = []
+    for seed in ([], ["--seed", 5]):
+        capsys.readouterr()
+        assert run(["evaluate", "--out", out, *seed]) == 0
+        report = (out / "report.json").read_text()
+        assert run(["recommend", "--out", out, *seed, "--k", 3, "u0", "u1"]) == 0
+        results.append((report, capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert json.loads(results[0][0])["config"]["seed"] == 5
+    assert run(["evaluate", "--out", out, "--seed", 4]) == 2
+    assert "differs" in capsys.readouterr().err
+    assert (out / "report.json").read_text() == results[0][0]
+    assert run(["recommend", "--config", cfg, "u0"]) == 2  # the file's seed 9
+    assert "differs" in capsys.readouterr().err
+
+
+def test_missing_effective_config_names_run_directory(tmp_path, capsys):
+    message = f"run directory {tmp_path / 'nowhere'} has no effective_config.json"
+    sweep = ["sweep", "--param", "r", "--values", "4"]
+    for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
+        assert run([*command, "--out", tmp_path / "nowhere"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -301,6 +304,13 @@ def test_model_serialization_roundtrip(tmp_path):
     # bit-exact file round trip
     save_model(back, tmp_path / "model2.bin")
     assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
+    # files written while the metadata still carried `debiased` load the same arrays
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[12:16])
+    meta = json.loads(data[16 : 16 + meta_len]) | {"debiased": True}
+    old = json.dumps(meta, sort_keys=True).encode()
+    path.write_bytes(data[:12] + struct.pack("<I", len(old)) + old + data[16 + meta_len :])
+    assert np.array_equal(load_model(path).spaces.H, model.spaces.H)
 
 
 def test_model_bad_magic(tmp_path):
