@@ -42,7 +42,7 @@ def run_variant(
         raise ValueError(f"unknown variant {name!r}; expected one of {VARIANT_NAMES}")
     if holdout is None:
         holdout = split_holdout(tensor, split)
-    pop = item_popularity(holdout.train.target)
+    pop = item_popularity(holdout.train)
 
     if name == "itempop":
         score_fn = partial(itempop_scores, pop)
@@ -65,5 +65,5 @@ def run_variant(
     }
     return evaluate(
         score_fn, holdout.test_positives, tensor.m1, pop, k_values,
-        exclude=holdout.train.target, config=config,
+        exclude=holdout.train, config=config,
     )

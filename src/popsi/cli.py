@@ -156,15 +156,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
     write_coordinate_triples(tensor, out / "tensor.txt")
     write_index(log.user_tokens, out / "users.txt")
     write_index(log.item_tokens, out / "items.txt")
+    counts = np.bincount(tensor.entries[:, 2], minlength=tensor.n).tolist()
     summary = {
         "users": tensor.m1,
         "items": tensor.m2,
-        "behaviors": {
-            label: int(s.nnz) for label, s in zip(tensor.behavior_labels, tensor.slices)
-        },
+        "behaviors": dict(zip(tensor.behavior_labels, counts)),
         "target_behavior": tensor.behavior_labels[0],
-        "target_entries": int(tensor.target.nnz),
-        "target_sparsity": tensor.target.nnz / (tensor.m1 * tensor.m2),
+        "target_entries": counts[0],
+        "target_sparsity": counts[0] / (tensor.m1 * tensor.m2),
         "malformed_lines": log.malformed,
         "unknown_behavior_lines": log.unknown_behavior,
     }
@@ -174,11 +173,10 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    tensor, _, _ = _load_ingested(out)
-    holdout = split_holdout(tensor, cfg.split_spec())
+    train = split_holdout(read_coordinate_triples(out / "tensor.txt"), cfg.split_spec()).train
     log: dict = {}
     model = fit(
-        holdout.train,
+        train,
         r=cfg.r,
         p=cfg.p,
         use_si=cfg.use_si,
@@ -186,7 +184,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         opts=cfg.svd_opts(),
         log=log,
     )
-    _write_json(out / "effective_config.json", asdict(cfg))
+    # the behaviors are those of tensor.txt, whatever a --config file says
+    _write_json(out / "effective_config.json",
+                asdict(replace(cfg, behaviors=train.behavior_labels)))
     save_model(model, out / "model.bin")
     _write_json(out / "fit_log.json", log)
     print(f"fitted r={log['r']} r_refined={log['r_refined']} -> {out / 'model.bin'}")
@@ -205,14 +205,13 @@ def _load_fitted(cfg: RunConfig):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     _, _, model, holdout = _load_fitted(cfg)
-    pop = item_popularity(holdout.train.target)
     report = evaluate(
         partial(score_user, model),
         holdout.test_positives,
         holdout.train.m1,
-        pop,
+        item_popularity(holdout.train),
         cfg.k_values,
-        exclude=holdout.train.target,
+        exclude=holdout.train,
         config={
             "r": model.spaces.r,
             "p": model.p,
@@ -229,7 +228,7 @@ def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
     users, items, model, holdout = _load_fitted(cfg)
     user_index = {token: u for u, token in enumerate(users)}
     known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
-    recs = rank_items(score_user(model, known), known, cfg.k_values[0], holdout.train.target)
+    recs = rank_items(score_user(model, known), known, cfg.k_values[0], holdout.train)
     by_user = {rec.user: rec for rec in recs}
     status = 0
     for token in user_tokens:
@@ -262,7 +261,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
-    pop = item_popularity(holdout.train.target)
+    pop = item_popularity(holdout.train)
     rows = []
     status = 0
     for value in dict.fromkeys(values):
@@ -279,7 +278,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
                 tensor.m1,
                 pop,
                 [50],
-                exclude=holdout.train.target,
+                exclude=holdout.train,
             )
             rows.append((param, value, report.ndcg[50], report.pri))
         except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
@@ -307,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         """A subparser that stores a flag under its RunConfig field name, and only if given."""
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config")
-        sp.add_argument("--input")
-        sp.add_argument("--delimiter")
-        sp.add_argument("--target-behavior")
         sp.add_argument("--r", type=int)
         sp.add_argument("--p", type=float)
         sp.add_argument("--no-si", dest="use_si", action="store_false")
@@ -320,6 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("ingest", "parse raw logs into tensor + index files")
+    sp.add_argument("--input")
+    sp.add_argument("--delimiter")
+    sp.add_argument("--target-behavior", help="behavior moved to the front of --behaviors")
     sp.add_argument("--behaviors", type=_PARSERS["list[str]"][0],
                     help="comma list, target behavior first")
     sp.add_argument("--header", dest="has_header", action="store_true",

@@ -5,35 +5,105 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
-@dataclass
 class InteractionTensor:
-    """Binary 3-D interaction tensor as a list of sparse slices; slice 0 is the target behavior."""
+    """Binary 3-D interaction tensor; slice 0 is the target behavior.
 
-    m1: int
-    m2: int
-    slices: list[sp.csr_matrix]
-    behavior_labels: list[str]
+    It is held as its (u, v, k) entries, an N x 3 int32 array, unique and
+    sorted by (u, v, k). The CSR slices are built on first use, so only code
+    that does sparse algebra imports scipy.
+    """
+
+    def __init__(self, m1: int, m2: int, slices: Sequence[sp.spmatrix], behavior_labels):
+        """Tensor of sparse m1 x m2 slices, one per label; every stored nonzero is an entry."""
+        shapes = [s.shape for s in slices]
+        if len(slices) != len(behavior_labels) or any(s != (m1, m2) for s in shapes):
+            raise ValueError(f"need one {m1} x {m2} slice per behavior label, got shapes "
+                             f"{shapes} for labels {list(behavior_labels)}")
+        parts = [np.empty((0, 3), dtype=np.int64)]
+        for k, coo in enumerate(s.tocoo() for s in slices):
+            parts.append(np.column_stack([coo.row, coo.col, np.full(coo.nnz, k)])[coo.data != 0])
+        entries = _sorted_unique(np.concatenate(parts), (m1, m2, len(slices)))
+        self._set(m1, m2, entries, behavior_labels)
+
+    @classmethod
+    def from_entries(cls, m1: int, m2: int, entries: np.ndarray, behavior_labels):
+        """Tensor of N x 3 int32 (u, v, k) entries that are already unique and sorted."""
+        tensor = cls.__new__(cls)
+        tensor._set(m1, m2, entries, behavior_labels)
+        return tensor
+
+    def _set(self, m1, m2, entries, behavior_labels) -> None:
+        self.m1, self.m2, self.entries = m1, m2, entries
+        self.behavior_labels = list(behavior_labels)
 
     @property
     def n(self) -> int:
-        return len(self.slices)
+        return len(self.behavior_labels)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.n)
+
+    @cached_property
+    def slices(self) -> list[sp.csr_matrix]:
+        import scipy.sparse as sp
+
+        slices = []
+        for k in range(self.n):
+            u, v = self._pairs(k)
+            csr = (np.ones(len(v)), v, row_pointers(u, self.m1))
+            slices.append(sp.csr_matrix(csr, shape=(self.m1, self.m2)))
+        return slices
 
     @property
     def target(self) -> sp.csr_matrix:
         return self.slices[0]
 
     def nnz(self) -> int:
-        return sum(int(s.nnz) for s in self.slices)
+        return len(self.entries)
+
+    @cached_property
+    def target_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The target slice as CSR arrays (indptr, indices), without scipy."""
+        u, v = self._pairs(0)
+        return row_pointers(u, self.m1), v
+
+    def _pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """User and item columns of slice k's entries, in (u, v) order."""
+        at = self.entries[:, 2] == k
+        return self.entries[at, 0], self.entries[at, 1]
+
+
+def row_pointers(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR indptr of the entries in rows `rows`, for their columns listed row by row."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
+def _sorted_unique(entries: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """N x 3 (u, v, k) entries as int32, unique and sorted by (u, v, k); entries already
+    in strictly increasing order are only converted."""
+    m1, m2, n = dims
+    if max(m1, m2) > np.iinfo(np.int32).max or m1 * m2 * n > np.iinfo(np.int64).max:
+        raise ValueError(f"tensor dims {m1} {m2} {n} are too large")
+    key = (entries[:, 0].astype(np.int64) * m2 + entries[:, 1]) * n + entries[:, 2]
+    if (key[1:] > key[:-1]).all():
+        return entries.astype(np.int32)
+    key = np.sort(key)
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    uv, k = np.divmod(key, n)
+    u, v = np.divmod(uv, m2)
+    return np.stack([u, v, k], axis=1).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -128,24 +198,8 @@ def build_tensor(log: ParsedLog, behavior_labels: Sequence[str]) -> InteractionT
         raise ValueError(f"behavior labels must be distinct, got {labels}")
     if not len(log.entries):
         raise ValueError("cannot build a tensor from zero records")
-    return _tensor(log.entries, (len(log.user_tokens), len(log.item_tokens), len(labels)), labels)
-
-
-def _tensor(entries: np.ndarray, dims: tuple[int, int, int], labels: list[str]) -> InteractionTensor:
-    """Tensor of N x 3 (u, v, k) entries, one CSR slice per behavior k."""
-    m1, m2, n = dims
-    slices = []
-    for k in range(n):
-        e = entries[entries[:, 2] == k]
-        slices.append(_binary_csr(e[:, 0], e[:, 1], (m1, m2)))
-    return InteractionTensor(m1, m2, slices, labels)
-
-
-def _binary_csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
-    """CSR matrix with a 1 at every (row, col) given; a repeated pair counts once."""
-    s = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-    s.data[:] = 1.0
-    return s
+    dims = (len(log.user_tokens), len(log.item_tokens), len(labels))
+    return InteractionTensor.from_entries(*dims[:2], _sorted_unique(log.entries, dims), labels)
 
 
 def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
@@ -154,62 +208,46 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
     Counts follow floor(r_train*N), floor(r_val*N), remainder to test;
     shuffle is driven by the spec seed, so results are deterministic.
     """
-    target = tensor.target.tocoo()
-    entries = np.stack([target.row, target.col], axis=1)
-    order = np.lexsort((entries[:, 1], entries[:, 0]))
-    entries = entries[order]
-    n_entries = len(entries)
+    target_at = np.flatnonzero(tensor.entries[:, 2] == 0)  # in (u, v) order
+    n_entries = len(target_at)
     if n_entries < 3 and spec.ratios != (1.0, 0.0, 0.0):
         raise ValueError(f"target slice needs >= 3 entries to split, got {n_entries}")
 
     rng = np.random.default_rng(spec.rng_seed)
     perm = rng.permutation(n_entries)
-    entries = entries[perm]
-
     n_train = int(np.floor(spec.ratios[0] * n_entries))
     n_val = int(np.floor(spec.ratios[1] * n_entries))
-    train_e = entries[:n_train]
-    val_e = entries[n_train : n_train + n_val]
-    test_e = entries[n_train + n_val :]
+    _, val, test = np.split(perm, [n_train, n_train + n_val])
 
-    train_target = _binary_csr(train_e[:, 0], train_e[:, 1], (tensor.m1, tensor.m2))
-    train = InteractionTensor(
-        tensor.m1,
-        tensor.m2,
-        [train_target] + [s.copy() for s in tensor.slices[1:]],
-        list(tensor.behavior_labels),
+    keep = np.ones(len(tensor.entries), dtype=bool)
+    keep[target_at[perm[n_train:]]] = False
+    train = InteractionTensor.from_entries(
+        tensor.m1, tensor.m2, tensor.entries[keep], tensor.behavior_labels
     )
 
-    def as_per_user(e: np.ndarray) -> dict[int, list[int]]:
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    def as_per_user(held: np.ndarray) -> dict[int, list[int]]:
+        e = tensor.entries[target_at[np.sort(held)]]
         users, starts = np.unique(e[:, 0], return_index=True)
         items = e[:, 1].tolist()
         bounds = starts.tolist() + [len(items)]
         return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
 
-    return HoldoutSets(train, as_per_user(val_e), as_per_user(test_e))
+    return HoldoutSets(train, as_per_user(val), as_per_user(test))
 
 
-def item_popularity(target_slice: sp.spmatrix) -> np.ndarray:
-    """Per-item interaction count on the (binary) training target slice."""
-    counts = np.asarray(target_slice.sum(axis=0)).ravel()
-    return counts.astype(np.int64)
+def item_popularity(tensor: InteractionTensor) -> np.ndarray:
+    """Per-item entry count of the tensor's target slice."""
+    return np.bincount(tensor._pairs(0)[1], minlength=tensor.m2)
 
 
 # --- coordinate-triple text format: one `u v k` line per entry, 0-based, sorted ---
 
 
 def write_coordinate_triples(tensor: InteractionTensor, path) -> None:
-    parts = []
-    for k, s in enumerate(tensor.slices):
-        coo = s.tocoo()
-        parts.append(np.column_stack([coo.row, coo.col, np.full(coo.nnz, k)]))
-    e = np.concatenate(parts)
-    e = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
     with open(path, "w") as f:
         f.write(f"# dims {tensor.m1} {tensor.m2} {tensor.n}\n")
         f.write(f"# behaviors {' '.join(tensor.behavior_labels)}\n")
-        f.write("%d %d %d\n" * len(e) % tuple(e.ravel().tolist()))
+        f.write("%d %d %d\n" * tensor.nnz() % tuple(tensor.entries.ravel().tolist()))
 
 
 def read_coordinate_triples(path) -> InteractionTensor:
@@ -233,7 +271,7 @@ def read_coordinate_triples(path) -> InteractionTensor:
         if not ok:
             f.seek(0)
             dims, labels, entries = _scan_triples(path, f)
-    return _tensor(entries, dims, labels)
+    return InteractionTensor.from_entries(*dims[:2], _sorted_unique(entries, dims), labels)
 
 
 def _scan_triples(path, lines: Iterable[str]):

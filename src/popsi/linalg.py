@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ORTHO_TOL = 1e-10
 RANK_REL_TOL = 1e-10
@@ -147,7 +150,7 @@ def project_out(H: np.ndarray, P: sp.spmatrix | np.ndarray) -> np.ndarray:
     """
     if P.shape[0] != H.shape[0]:
         raise ValueError(f"row mismatch: P has {P.shape[0]}, H has {H.shape[0]}")
-    Pd = np.asarray(P.todense()) if sp.issparse(P) else np.asarray(P, dtype=float)
+    Pd = P.toarray() if hasattr(P, "toarray") else np.asarray(P, dtype=float)
     nonempty = np.abs(Pd).sum(axis=0) > 0
     Pd = Pd[:, nonempty]
     if Pd.shape[1] == 0:

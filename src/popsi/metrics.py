@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from popsi.data import InteractionTensor
 from popsi.model import rank_items
 
 SCORE_BLOCK = 1 << 20  # scores per evaluation block: 8 MB of float64
@@ -145,7 +145,7 @@ def evaluate(
     n_users: int,
     pop_counts: np.ndarray,
     k_values: Sequence[int] = (20, 50),
-    exclude: sp.csr_matrix | None = None,
+    exclude: InteractionTensor | None = None,
     config: dict | None = None,
 ) -> EvalReport:
     """Run the full metric suite for one block scorer against held-out positives.
@@ -153,8 +153,9 @@ def evaluate(
     `score_fn(users)` returns one score row per user of an index array; the
     test users are scored once, in blocks of about SCORE_BLOCK scores, and
     the top-K lists and the PRI rank quantiles come from the same block.
-    Row u of `exclude` (the training target) lists the items removed from
-    u's candidates before ranking (PRI ranks only within Pos_u and ignores it).
+    The target entries of each user in `exclude` (the training tensor) are
+    removed from the user's candidates before ranking (PRI ranks only within
+    Pos_u and ignores it).
     """
     k_max = max(k_values)
     test_users = np.array(sorted(test_positives), dtype=np.int64)

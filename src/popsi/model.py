@@ -6,11 +6,11 @@ import json
 import struct
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from popsi.data import InteractionTensor, item_popularity
+from popsi.data import InteractionTensor, item_popularity, row_pointers
 from popsi.linalg import (
     ORTHO_TOL,
     SvdOptions,
@@ -18,6 +18,9 @@ from popsi.linalg import (
     project_out,
     truncated_svd_left,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_RANK = 200
 DEFAULT_POPULAR_FRACTION = 0.2
@@ -57,11 +60,18 @@ class RecommendationList:
 
 def unfold(tensor: InteractionTensor, mode: int) -> sp.csr_matrix:
     """Mode-1 unfolding [X^1 ... X^n] (m1 x m2*n) or mode-2 [X^1T ... X^nT] (m2 x m1*n)."""
+    import scipy.sparse as sp
+
+    u, v, k = tensor.entries.T
+    m1, m2, n = tensor.dims
     if mode == 1:
-        return sp.hstack(tensor.slices, format="csr")
-    if mode == 2:
-        return sp.hstack([s.T.tocsr() for s in tensor.slices], format="csr")
-    raise ValueError(f"unfolding mode must be 1 or 2, got {mode}")
+        rows, cols, shape = u, np.int64(m2) * k + v, (m1, m2 * n)
+    elif mode == 2:
+        rows, cols, shape = v, np.int64(m1) * k + u, (m2, m1 * n)
+    else:
+        raise ValueError(f"unfolding mode must be 1 or 2, got {mode}")
+    order = np.argsort(rows * np.int64(shape[1]) + cols)  # by row, then column
+    return sp.csr_matrix((np.ones(len(rows)), cols[order], row_pointers(rows, shape[0])), shape)
 
 
 def refold(unfolded: sp.spmatrix, mode: int, dims: tuple[int, int, int]) -> list[sp.csr_matrix]:
@@ -77,6 +87,8 @@ def refold(unfolded: sp.spmatrix, mode: int, dims: tuple[int, int, int]) -> list
 
 def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFeatures:
     """Label the top ceil(p*m2) items by interaction count as popular; ties by item index."""
+    import scipy.sparse as sp
+
     if not 0 < p < 1:
         raise ValueError(f"popular fraction p must lie in (0,1), got {p}")
     m2 = len(pop_counts)
@@ -147,8 +159,9 @@ def fit(
     if opts is None:
         opts = SvdOptions(rank=r)
     if not use_si:
-        tensor = InteractionTensor(
-            tensor.m1, tensor.m2, [tensor.target], [tensor.behavior_labels[0]]
+        tensor = InteractionTensor.from_entries(
+            tensor.m1, tensor.m2, tensor.entries[tensor.entries[:, 2] == 0],
+            tensor.behavior_labels[:1],
         )
     svd_log = None if log is None else log.setdefault("svd", {})
     debias_log = {} if use_pop else None
@@ -156,7 +169,7 @@ def fit(
     spaces = estimate_subspaces(tensor, r, opts, svd_log)
     t1 = time.perf_counter()
     if use_pop:
-        features = build_popularity_features(item_popularity(tensor.target), p)
+        features = build_popularity_features(item_popularity(tensor), p)
         spaces = debias_item_space(spaces, features.P, debias_log)
     t2 = time.perf_counter()
     cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
@@ -188,13 +201,14 @@ def score_user(model: PreferenceModel, users, k: int = 0) -> np.ndarray:
 
 
 def rank_items(
-    scores: np.ndarray, users, K: int, exclude: sp.csr_matrix | None = None
+    scores: np.ndarray, users, K: int, exclude: InteractionTensor | sp.spmatrix | None = None
 ) -> list[RecommendationList]:
     """Top-K list of every row of a score block; row i belongs to user users[i].
 
-    Row users[i] of `exclude` (the training target) lists the items dropped
-    from row i. Ties break by ascending item index, as in a stable sort of
-    the whole row; rows with fewer than K candidates give truncated lists.
+    `exclude` is the training tensor, whose target entries of user users[i]
+    are dropped from row i, or a sparse matrix whose row users[i] lists them.
+    Ties break by ascending item index, as in a stable sort of the whole row;
+    rows with fewer than K candidates give truncated lists.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -202,8 +216,15 @@ def rank_items(
     masked = np.array(scores, dtype=float)
     n_rows, m2 = masked.shape
     if exclude is not None:
-        train = exclude.tocsr()[users]
-        masked[np.repeat(np.arange(n_rows), np.diff(train.indptr)), train.indices] = -np.inf
+        if isinstance(exclude, InteractionTensor):
+            indptr, indices = exclude.target_rows
+        else:
+            exclude = exclude.tocsr()
+            indptr, indices = exclude.indptr, exclude.indices
+        starts = indptr[users]
+        counts = indptr[users + 1] - starts
+        at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        masked[np.repeat(np.arange(n_rows), counts), indices[at]] = -np.inf
     # only items at or above each row's K-th best score can make its list
     kth = np.partition(masked, m2 - min(K, m2), axis=1)[:, m2 - min(K, m2)]
     rows, cols = np.nonzero((masked >= kth[:, None]) & (masked > -np.inf))

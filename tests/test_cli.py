@@ -310,6 +310,28 @@ def test_later_commands_start_from_recorded_config(workspace, capsys):
     assert "differs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--input", "x.csv"], ["--delimiter", ";"],
+                                  ["--target-behavior", "click"]])
+def test_ingest_only_flags_rejected_elsewhere(workspace, capsys, flag):
+    tmp_path, cfg = workspace
+    for command in (["fit"], ["evaluate"], ["recommend", "u0"],
+                    ["sweep", "--param", "r", "--values", "4"]):
+        with pytest.raises(SystemExit) as exit:
+            run([*command, "--config", cfg, *flag])
+        assert exit.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fit_records_the_tensor_behaviors(workspace):
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    swapped = tmp_path / "swapped.conf"
+    swapped.write_text(cfg.read_text() + "behaviors = click,purchase\n")
+    assert run(["fit", "--config", swapped]) == 0
+    recorded = json.loads((tmp_path / "out" / "effective_config.json").read_text())
+    assert recorded["behaviors"] == ["purchase", "click"]  # tensor.txt's `# behaviors`
+
+
 def test_missing_effective_config_names_run_directory(tmp_path, capsys):
     message = f"run directory {tmp_path / 'nowhere'} has no effective_config.json"
     sweep = ["sweep", "--param", "r", "--values", "4"]
@@ -318,10 +340,30 @@ def test_missing_effective_config_names_run_directory(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_skips_scipy_stats(workspace):
+    """Only fit and sweep do sparse algebra; import, ingest, evaluate and recommend load
+    no scipy module."""
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import popsi.cli, sys; print('scipy.stats' in sys.modules)"
+    code = f"""if True:
+        import json, sys
+        import popsi.cli
+        scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        seen = {{"stats": "scipy.stats" in sys.modules, "import": scipy(),
+                 "layers": sorted(m for m in sys.modules if m.startswith("popsi."))}}
+        for command in (["ingest"], ["evaluate"], ["recommend", "u0"], ["fit"]):
+            assert popsi.cli.main([*command, "--config", {str(cfg)!r}]) == 0
+            seen[command[0]] = scipy()
+        print(json.dumps(seen))
+    """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["stats"] is False
+    assert seen["layers"] == [f"popsi.{m}" for m in
+                              ("baselines", "cli", "data", "linalg", "metrics", "model")]
+    assert seen["import"] == seen["ingest"] == seen["evaluate"] == seen["recommend"] == []
+    assert "scipy.sparse" in seen["fit"]

@@ -194,10 +194,31 @@ def test_split_is_a_partition(entries, seed):
     assert np.all(hold.train.target.data == 1.0)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)),
+                     max_size=60),
+    seed=st.integers(0, 1000),
+)
+def test_split_train_is_tensor_minus_held_out(entries, seed):
+    labels = ["purchase", "click", "cart"]
+    lines = ["u0,i0,purchase", "u0,i1,purchase", "u1,i0,purchase"]
+    tensor = _tensor(lines + [f"u{u},i{v},{labels[k]}" for u, v, k in entries], labels)
+    hold = split_holdout(tensor, SplitSpec(rng_seed=seed))
+
+    held = {(u, v, 0) for positives in (hold.val_positives, hold.test_positives)
+            for u, vs in positives.items() for v in vs}
+    full = [tuple(e) for e in tensor.entries.tolist()]
+    train = [tuple(e) for e in hold.train.entries.tolist()]
+    assert full == sorted(set(full)) and held <= set(full)
+    assert train == [e for e in full if e not in held]  # still unique and sorted
+    assert hold.train.entries.dtype == np.int32 and hold.train.dims == tensor.dims
+
+
 def test_item_popularity_column_counts():
     tensor = _tensor(["u1,i1,purchase", "u2,i1,purchase", "u3,i1,purchase", "u1,i2,purchase"],
                      ["purchase"])
-    pop = item_popularity(tensor.target)
+    pop = item_popularity(tensor)
     assert pop.tolist() == [3, 1]
     assert pop.sum() == tensor.target.nnz
 
@@ -275,6 +296,13 @@ def test_read_triples_accepts_comments_and_blank_lines(tensor_file):
     assert (back.dims, back.behavior_labels) == (want.dims, want.behavior_labels)
     for a, b in zip(want.slices, back.slices):
         assert (a != b).nnz == 0
+
+
+def test_read_triples_rejects_dims_beyond_int32(tmp_path):
+    path = tmp_path / "tensor.txt"
+    path.write_text("# dims 3000000000 2 1\n# behaviors purchase\n2999999999 1 0\n")
+    with pytest.raises(ValueError, match="tensor dims 3000000000 2 1 are too large"):
+        read_coordinate_triples(path)
 
 
 @pytest.mark.filterwarnings("error")  # a valid file without entries reads without a warning

@@ -18,14 +18,13 @@ from popsi.metrics import (
 
 
 def ref_recall(rec_lists, positives, n_users):
-    vals = []
+    # a plain left-to-right loop: from Python 3.12 on, sum() of floats is compensated
+    total = 0.0
     for u in range(n_users):
         t = positives.get(u, [])
-        if not t:
-            vals.append(0.0)
-            continue
-        vals.append(sum(1 for v in rec_lists.get(u, []) if v in t) / len(t))
-    return sum(vals) / n_users
+        if t:
+            total += sum(1 for v in rec_lists.get(u, []) if v in t) / len(t)
+    return total / n_users
 
 
 def ref_ndcg(rec_lists, positives, n_users, K):

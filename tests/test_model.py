@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import block_binary_tensor, random_binary_tensor, random_orthonormal
-from popsi.data import InteractionTensor
+from popsi.data import InteractionTensor, ParsedLog, build_tensor
 from popsi.linalg import ORTHO_TOL, SvdOptions
 from popsi.model import (
     FeatureSpaces,
@@ -56,6 +56,24 @@ def test_unfold_single_slice_identity():
     assert (unfold(tensor, 1) != tensor.target).nnz == 0
 
 
+def test_tensor_slices_round_trip():
+    rng = np.random.default_rng(1)
+    slices = [sp.csr_matrix((rng.random((6, 4)) < p).astype(float)) for p in (0.4, 0.0, 0.7)]
+    tensor = InteractionTensor(6, 4, slices, ["a", "b", "c"])
+    assert tensor.nnz() == sum(s.nnz for s in slices)
+    for a, b in zip(tensor.slices, slices):
+        assert a.shape == b.shape and (a != b).nnz == 0 and a.has_canonical_format
+    assert tensor.target is tensor.slices[0]
+
+
+def test_tensor_rejects_mismatched_slices():
+    with pytest.raises(ValueError, match=r"one 2 x 2 slice per behavior label, got shapes "
+                                         r"\[\(2, 2\), \(2, 2\)\] for labels \['a'\]"):
+        InteractionTensor(2, 2, [sp.csr_matrix((2, 2))] * 2, ["a"])
+    with pytest.raises(ValueError, match=r"got shapes \[\(3, 2\)\]"):
+        InteractionTensor(2, 2, [sp.csr_matrix((3, 2))], ["a"])
+
+
 def test_unfold_bad_mode():
     tensor = tensor_from_entries(2, 2, [[(0, 0)]])
     with pytest.raises(ValueError):
@@ -78,6 +96,29 @@ def test_unfold_refold_roundtrip(m1, m2, n, seed, mode):
     back = refold(u, mode, tensor.dims)
     for a, b in zip(tensor.slices, back):
         assert (a != b).nnz == 0
+
+
+def per_slice_unfold(slices, mode):
+    """The unfolding as [X^1 ... X^n] or [X^1T ... X^nT], stacked slice by slice."""
+    return sp.hstack([s if mode == 1 else s.T for s in slices], format="csr")
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_unfold_from_entries_matches_per_slice_hstack(mode):
+    rng = np.random.default_rng(5)
+    m1, m2, n = 7, 5, 3
+    slices = [sp.csr_matrix((rng.random((m1, m2)) < 0.3).astype(float)) for _ in range(n)]
+    slices[1] = sp.csr_matrix((m1, m2))  # a behavior without entries
+    e = np.concatenate([np.column_stack(s.nonzero() + (np.full(s.nnz, k),))
+                        for k, s in enumerate(slices)])
+    # unsorted, with repeats: build_tensor sorts them and drops the repeats
+    shuffled = np.concatenate([e, e[::2]])[rng.permutation(len(e) + len(e[::2]))]
+    log = ParsedLog(shuffled, [f"u{u}" for u in range(m1)], [f"i{v}" for v in range(m2)], 0, 0)
+    tensor = build_tensor(log, ["b0", "b1", "b2"])
+    assert tensor.nnz() == len(e)
+    got, want = unfold(tensor, mode), per_slice_unfold(slices, mode)
+    assert got.shape == want.shape and (got != want).nnz == 0
+    assert got.has_canonical_format and np.all(got.data == 1.0)
 
 
 # --- popularity features ---
@@ -278,6 +319,10 @@ def test_rank_items_matches_full_stable_sort(seed):
     K = int(rng.integers(1, m2 + 3))
     recs = rank_items(scores, users, K, exclude)
     assert len(recs) == len(users)
+    # a tensor with this target excludes the same items, and none of its auxiliary slice
+    aux = sp.csr_matrix((rng.random((m1, m2)) < 0.5).astype(float))
+    tensor = InteractionTensor(m1, m2, [exclude, aux], ["target", "aux"])
+    assert rank_items(scores, users, K, tensor) == recs
     dense = exclude.toarray()
     for rec, u, row in zip(recs, users, scores):
         candidates = np.flatnonzero(dense[u] == 0)
