@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -150,13 +151,16 @@ def cmd_ingest(cfg: RunConfig) -> int:
         print("error: no records", file=sys.stderr)
         return 2
     tensor = build_tensor(log, cfg.behaviors)
+    counts = np.bincount(tensor.entries[:, 2], minlength=tensor.n).tolist()
+    if not counts[0]:
+        print(f"error: no records of the target behavior {cfg.behaviors[0]!r}", file=sys.stderr)
+        return 2
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "effective_config.json", asdict(cfg))
     write_coordinate_triples(tensor, out / "tensor.txt")
     write_index(log.user_tokens, out / "users.txt")
     write_index(log.item_tokens, out / "items.txt")
-    counts = np.bincount(tensor.entries[:, 2], minlength=tensor.n).tolist()
     summary = {
         "users": tensor.m1,
         "items": tensor.m2,
@@ -193,18 +197,23 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_fitted(cfg: RunConfig):
-    """Index files, model and split of a fitted run; the model must match the ingested data."""
-    out = Path(cfg.out)
+def _load_fitted(out: Path):
+    """Tensor, index files and model of a fitted run; the model must match the ingested data."""
     tensor, users, items = _load_ingested(out)
     model = load_model(out / "model.bin")
     if model.spaces.W.shape[0] != tensor.m1 or model.spaces.H.shape[0] != tensor.m2:
         raise ValueError("model dimensions do not match the ingested data")
-    return users, items, model, split_holdout(tensor, cfg.split_spec())
+    return tensor, users, items, model
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    _, _, model, holdout = _load_fitted(cfg)
+    out = Path(cfg.out)
+    t0 = time.perf_counter()
+    tensor, _, _, model = _load_fitted(out)
+    t1 = time.perf_counter()
+    holdout = split_holdout(tensor, cfg.split_spec())
+    t2 = time.perf_counter()
+    log: dict = {}
     report = evaluate(
         partial(score_user, model),
         holdout.test_positives,
@@ -219,27 +228,32 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "use_pop": model.use_pop,
             "seed": cfg.seed,
         },
+        log=log,
     )
-    print(_write_json(Path(cfg.out) / "report.json", report.to_dict()), end="")
+    log["seconds"].update(load=t1 - t0, split=t2 - t1)
+    _write_json(out / "eval_log.json", log)
+    print(_write_json(out / "report.json", report.to_dict()), end="")
     return 0
 
 
 def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
-    users, items, model, holdout = _load_fitted(cfg)
+    tensor, users, items, model = _load_fitted(Path(cfg.out))
+    train = split_holdout(tensor, cfg.split_spec()).train
     user_index = {token: u for u, token in enumerate(users)}
     known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
-    recs = rank_items(score_user(model, known), known, cfg.k_values[0], holdout.train)
-    by_user = {rec.user: rec for rec in recs}
+    ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)
+    row_of = {u: i for i, u in enumerate(known.tolist())}
     status = 0
     for token in user_tokens:
         if token not in user_index:
             print(f"ERR unknown user\t{token}")
             status = 1
             continue
-        rec = by_user[user_index[token]]
-        if rec.truncated:
-            print(f"warning: only {len(rec.items)} candidates for {token}", file=sys.stderr)
-        for v, s in zip(rec.items, rec.scores):
+        i = row_of[user_index[token]]
+        n = int(np.count_nonzero(ranked[i] >= 0))
+        if n < ranked.shape[1]:
+            print(f"warning: only {n} candidates for {token}", file=sys.stderr)
+        for v, s in zip(ranked[i, :n].tolist(), scores[i, :n].tolist()):
             print(f"{token}\t{items[v]}\t{s:.6g}")
     return status
 

@@ -20,8 +20,6 @@ class SvdConvergenceError(RuntimeError):
             f"subspace iteration did not converge: residual {residual:.3e} "
             f"after {iterations} iterations"
         )
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,16 @@ class SvdOptions:
             raise ValueError(f"max_iters {self.max_iters} is below power_iters {self.power_iters}")
 
 
-def _cholesky_qr2(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _cholesky_qr2(
+    Y: np.ndarray, with_q: bool = True
+) -> tuple[np.ndarray | None, np.ndarray] | None:
     """Y = Q R (Q orthonormal, R upper triangular) by two CholeskyQR passes.
 
     Each pass is Q <- Q L^-T with L = chol(Q^T Q) (Fukaya et al., ScalA 2014).
-    None when a Cholesky fails or the first pass leaves Q^T Q far from I
-    (cond(Y) beyond ~1e8); the caller then uses Householder QR.
+    R does not depend on the second pass's Q, so without `with_q` that
+    product is skipped and Q is None. None when a Cholesky fails or the
+    first pass leaves Q^T Q far from I (cond(Y) beyond ~1e8); the caller
+    then uses Householder QR.
     """
     Q, R = Y, np.eye(Y.shape[1])
     for npass in range(2):
@@ -62,8 +64,10 @@ def _cholesky_qr2(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             return None
-        Q = Q @ np.tril(np.linalg.inv(L)).T
         R = L.T @ R
+        if npass and not with_q:
+            return None, R
+        Q = Q @ np.tril(np.linalg.inv(L)).T
     return Q, R
 
 
@@ -93,9 +97,9 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
 
     fallbacks = 0  # blocks that took Householder QR
 
-    def qr(Y):
+    def qr(Y, with_q=True):
         nonlocal fallbacks
-        QR = _cholesky_qr2(Y)
+        QR = _cholesky_qr2(Y, with_q)
         if QR is None:
             fallbacks += 1
             QR = np.linalg.qr(Y)
@@ -129,7 +133,7 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
 
     # Rayleigh-Ritz: Q^T A = R^T Z^T with Z orthonormal, so the left singular
     # vectors of Q^T A are those of the ell x ell factor R^T
-    _, R = qr(At @ Q)
+    _, R = qr(At @ Q, with_q=False)
     Ub, s, _ = np.linalg.svd(R.T)
     if log is not None:
         log.update(

@@ -29,7 +29,6 @@ DEFAULT_POPULAR_FRACTION = 0.2
 @dataclass
 class PopularityFeatures:
     p: float
-    popular: np.ndarray  # bool, length m2
     P: sp.csr_matrix  # m2 x 2 one-hot: column 0 popular, column 1 less popular
 
 
@@ -48,14 +47,6 @@ class PreferenceModel:
     p: float
     use_si: bool
     use_pop: bool
-
-
-@dataclass
-class RecommendationList:
-    user: int
-    items: list[int]
-    scores: list[float]
-    truncated: bool = False  # fewer than K candidates were available
 
 
 def unfold(tensor: InteractionTensor, mode: int) -> sp.csr_matrix:
@@ -94,12 +85,10 @@ def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFea
     m2 = len(pop_counts)
     order = np.lexsort((np.arange(m2), -np.asarray(pop_counts)))
     n_popular = int(np.ceil(p * m2))
-    popular = np.zeros(m2, dtype=bool)
-    popular[order[:n_popular]] = True
-    rows = np.arange(m2)
-    cols = np.where(popular, 0, 1)
-    P = sp.csr_matrix((np.ones(m2), (rows, cols)), shape=(m2, 2))
-    return PopularityFeatures(p, popular, P)
+    cols = np.ones(m2, dtype=np.int64)
+    cols[order[:n_popular]] = 0
+    P = sp.csr_matrix((np.ones(m2), (np.arange(m2), cols)), shape=(m2, 2))
+    return PopularityFeatures(p, P)
 
 
 def estimate_subspaces(
@@ -201,14 +190,21 @@ def score_user(model: PreferenceModel, users, k: int = 0) -> np.ndarray:
 
 
 def rank_items(
-    scores: np.ndarray, users, K: int, exclude: InteractionTensor | sp.spmatrix | None = None
-) -> list[RecommendationList]:
-    """Top-K list of every row of a score block; row i belongs to user users[i].
+    scores: np.ndarray,
+    users,
+    K: int,
+    exclude: InteractionTensor | sp.spmatrix | None = None,
+    log: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-K items of every row of a score block, as an n x K int64 matrix padded
+    with -1 (rows with fewer than K candidates), and their scores, padded with -inf.
 
-    `exclude` is the training tensor, whose target entries of user users[i]
-    are dropped from row i, or a sparse matrix whose row users[i] lists them.
-    Ties break by ascending item index, as in a stable sort of the whole row;
-    rows with fewer than K candidates give truncated lists.
+    Row i belongs to user users[i]. `exclude` is the training tensor, whose
+    target entries of users[i] are dropped from row i, or a sparse matrix
+    whose row users[i] lists them. Each list is the head of a stable
+    descending sort of its row, so ties break by ascending item index. A row
+    whose K-th score ties with an item left out takes that whole-row sort;
+    `log`, when given, counts these rows in `whole_row_sorts`.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -225,19 +221,28 @@ def rank_items(
         counts = indptr[users + 1] - starts
         at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
         masked[np.repeat(np.arange(n_rows), counts), indices[at]] = -np.inf
-    # only items at or above each row's K-th best score can make its list
-    kth = np.partition(masked, m2 - min(K, m2), axis=1)[:, m2 - min(K, m2)]
-    rows, cols = np.nonzero((masked >= kth[:, None]) & (masked > -np.inf))
-    ranked = cols[np.lexsort((cols, -masked[rows, cols], rows))]
-    counts = np.bincount(rows, minlength=n_rows)
-    starts = np.cumsum(counts) - counts
-    out = []
-    for i, (start, n) in enumerate(zip(starts.tolist(), counts.tolist())):
-        chosen = ranked[start : start + min(n, K)]
-        out.append(
-            RecommendationList(int(users[i]), chosen.tolist(), masked[i, chosen].tolist(), n < K)
-        )
-    return out
+    items = np.full((n_rows, K), -1, dtype=np.int64)
+    top = np.full((n_rows, K), -np.inf)
+    k = min(K, m2)
+    # the k best items of each row and, when an item is left out, the best one left out
+    width = min(k + 1, m2)
+    chosen = np.argpartition(masked, m2 - width, axis=1)[:, m2 - width :]
+    values = np.take_along_axis(masked, chosen, axis=1)
+    order = np.lexsort((chosen, -values), axis=-1)
+    chosen = np.take_along_axis(chosen, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    items[:, :k], top[:, :k] = chosen[:, :k], values[:, :k]
+    ties = np.empty(0, dtype=np.int64)
+    if width > k:
+        # the K-th best ties with an item left out, which may have the lower index
+        ties = np.flatnonzero((values[:, k - 1] == values[:, k]) & (values[:, k] > -np.inf))
+    for i in ties.tolist():
+        best = np.argsort(-masked[i], kind="stable")[:k]
+        items[i, :k], top[i, :k] = best, masked[i, best]
+    items[top == -np.inf] = -1
+    if log is not None:
+        log["whole_row_sorts"] = log.get("whole_row_sorts", 0) + len(ties)
+    return items, top
 
 
 # --- model container: 8-byte magic, u32 version, JSON metadata, raw float64 arrays ---

@@ -13,19 +13,19 @@ from popsi.model import rank_items
 
 
 def test_itempop_sort_by_count():
-    (rec,) = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2)
-    assert rec.items == [2, 0]
+    items, scores = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2)
+    assert items.tolist() == [[2, 0]] and scores.tolist() == [[7.0, 5.0]]
 
 
 def test_itempop_exclusion():
     exclude = sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))
-    (rec,) = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2, exclude=exclude)
-    assert rec.items == [0, 1]
+    items, _ = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2, exclude=exclude)
+    assert items.tolist() == [[0, 1]]
 
 
 def test_itempop_zero_counts_tie_rule():
-    (rec,) = rank_items(itempop_scores(np.zeros(4), [0]), [0], K=3)
-    assert rec.items == [0, 1, 2]
+    items, _ = rank_items(itempop_scores(np.zeros(4), [0]), [0], K=3)
+    assert items.tolist() == [[0, 1, 2]]
 
 
 def test_itempop_invalid_k():

@@ -115,6 +115,23 @@ def test_ingest_empty_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["target_not_in_behaviors", "log_without_target"])
+def test_ingest_rejects_empty_target_slice(workspace, capsys, case):
+    tmp_path, cfg = workspace
+    if case == "target_not_in_behaviors":
+        args = ["ingest", "--config", cfg, "--target-behavior", "cart"]
+        label = "cart"
+    else:
+        log = tmp_path / "interactions.csv"
+        log.write_text("".join(l + "\n" for l in log.read_text().splitlines()
+                               if ",purchase" not in l))
+        args = ["ingest", "--config", cfg]
+        label = "purchase"
+    assert run(args) == 2
+    assert f"error: no records of the target behavior {label!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_rejects_repeated_behavior(workspace, capsys):
     tmp_path, cfg = workspace
     args = ["ingest", "--config", cfg, "--behaviors", "purchase,purchase,click"]
@@ -175,6 +192,13 @@ def test_fit_evaluate_pipeline(workspace, capsys):
                 "users_evaluated", "users_skipped_pri", "config"):
         assert key in report
     assert report["config"]["r"] == 6 and report["config"]["seed"] == 9
+    eval_log = json.loads((out / "eval_log.json").read_text())
+    assert set(eval_log) == {"seconds", "zero_score_users", "whole_row_sorts",
+                             "users_skipped_pri"}
+    assert set(eval_log["seconds"]) == {"load", "split", "score", "rank", "metrics", "pri"}
+    assert all(t >= 0 for t in eval_log["seconds"].values())
+    assert eval_log["users_skipped_pri"] == report["users_skipped_pri"]
+    assert eval_log["zero_score_users"] >= 0 and eval_log["whole_row_sorts"] >= 0
 
 
 def test_fit_no_pop_skips_debias(workspace):

@@ -97,6 +97,9 @@ def test_cholesky_qr2_matches_householder():
     assert orthonormality_error(Q) <= 1e-13
     assert np.array_equal(R, np.triu(R))
     assert np.linalg.norm(Q @ R - Y) <= 1e-13 * np.linalg.norm(Y)
+    # R alone skips the last Q product and is the same R, bit for bit
+    no_q, R_only = _cholesky_qr2(Y, with_q=False)
+    assert no_q is None and np.array_equal(R_only, R)
 
 
 def test_cholesky_qr2_declines_or_is_orthonormal():

@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from popsi import metrics
+from popsi.data import InteractionTensor
 from popsi.metrics import (
     _average_ranks,
     avg_rank_quantiles,
+    evaluate,
     ndcg_at_k,
     pri,
     recall_at_k,
@@ -251,3 +256,66 @@ def test_metrics_match_brute_force_oracle(seed):
     n = ndcg_at_k(rec_lists, positives, n_users, K)
     assert n == pytest.approx(ref_ndcg(rec_lists, positives, n_users, K), abs=1e-12)
     assert 0.0 <= n <= 1.0 + 1e-12
+
+
+def ref_evaluate(scores, positives, train, n_users, pop, k_values):
+    """evaluate's numbers computed user by user: lists from a stable sort of each
+    whole row, recall from sets and each list's DCG from its own np.sum."""
+    lists, triples = {}, ([], [], [])
+    for u in sorted(positives):
+        candidates = np.flatnonzero(train[u] == 0)
+        order = np.argsort(-scores[u, candidates], kind="stable")
+        lists[u] = candidates[order][: max(k_values)].tolist()
+        pos = sorted(set(positives[u]))
+        for part, values in zip(triples, ([u] * len(pos), pos, scores[u, pos].tolist())):
+            part += values
+    recall, ndcg = {}, {}
+    for k in k_values:
+        discounts = 1.0 / np.log2(np.arange(2, k + 2))
+        total_r = total_n = 0.0
+        for u in sorted(positives):
+            pos = positives[u]
+            if not pos:
+                continue
+            total_r += len(set(lists[u][:k]) & set(pos)) / len(pos)
+            rel = np.array([1.0 if v in pos else 0.0 for v in lists[u][:k]])
+            dcg = float(np.sum(rel * discounts[: len(rel)]))
+            total_n += dcg / float(np.sum(discounts[: min(len(pos), k)]))
+        recall[k], ndcg[k] = total_r / n_users, total_n / n_users
+    try:
+        pri_value = pri(avg_rank_quantiles(*triples), pop)
+    except ValueError:
+        pri_value = None
+    return recall, ndcg, pri_value
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 12))
+def test_evaluate_matches_per_user_reference(seed, block_rows):
+    rng = np.random.default_rng(seed)
+    n_users, m2 = int(rng.integers(1, 25)), int(rng.integers(2, 40))
+    # a few score levels make bitwise ties at the K-th score common
+    levels = rng.standard_normal(int(rng.integers(1, 6)))
+    scores = levels[rng.integers(0, len(levels), (n_users, m2))]
+    scores[rng.random(n_users) < 0.2] = 0.0
+    # some users keep fewer than K candidates after their training items go
+    train = rng.random((n_users, m2)) < rng.random(n_users)[:, None]
+    positives = {}
+    for u in rng.permutation(n_users)[: int(rng.integers(0, n_users + 1))].tolist():
+        free = np.flatnonzero(~train[u])
+        positives[u] = rng.permutation(free)[: rng.integers(0, min(len(free), 6) + 1)].tolist()
+    k_values = sorted({int(rng.integers(1, m2 + 5)), int(rng.integers(1, m2 + 5))})
+    exclude = InteractionTensor(n_users, m2, [sp.csr_matrix(train.astype(float))], ["t"])
+    pop = rng.integers(0, 20, m2)
+    log = {}
+    with mock.patch.object(metrics, "SCORE_BLOCK", block_rows * m2):
+        report = evaluate(lambda users: scores[users], positives, n_users, pop, k_values,
+                          exclude=exclude, log=log)
+    recall, ndcg, pri_value = ref_evaluate(scores, positives, train, n_users, pop, k_values)
+    assert report.recall == recall
+    assert report.ndcg == ndcg
+    assert report.pri == pri_value
+    skipped = sum(len(set(p)) < 2 for p in positives.values())
+    assert report.users_skipped_pri == log["users_skipped_pri"] == skipped
+    tested = sorted(positives)
+    assert log["zero_score_users"] == int(np.sum(~scores[tested].any(axis=1)))

@@ -126,20 +126,20 @@ def test_unfold_from_entries_matches_per_slice_hstack(mode):
 
 def test_popularity_features_sort_and_cut():
     feats = build_popularity_features(np.array([5, 2, 7, 1]), p=0.25)
-    assert feats.popular.tolist() == [False, False, True, False]
     P = feats.P.toarray()
+    assert P[:, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert P[2].tolist() == [1.0, 0.0]
     assert np.all(P.sum(axis=1) == 1)
 
 
 def test_popularity_features_tie_rule():
     feats = build_popularity_features(np.array([3, 3, 3, 3]), p=0.5)
-    assert feats.popular.tolist() == [True, True, False, False]
+    assert feats.P.toarray()[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_popularity_features_default_fraction():
     feats = build_popularity_features(np.arange(10), p=0.2)
-    assert int(feats.popular.sum()) == 2  # ceil(0.2 * 10)
+    assert feats.P.toarray()[:, 0].sum() == 2  # ceil(0.2 * 10)
 
 
 def test_popularity_features_invalid_p():
@@ -297,11 +297,12 @@ def exclusion(m1, m2, pairs):
 
 def test_top_k_ordering_and_exclusion():
     scores = np.array([[0.1, 0.9, 0.5]])
-    assert rank_items(scores, [0], 2)[0].items == [1, 2]
-    assert rank_items(scores, [0], 2, exclusion(1, 3, [(0, 1)]))[0].items == [2, 0]
-    assert rank_items(np.zeros((1, 3)), [0], 2)[0].items == [0, 1]
-    short = rank_items(scores, [0], 5, exclusion(1, 3, [(0, 1)]))[0]
-    assert short.truncated and short.items == [2, 0]
+    assert rank_items(scores, [0], 2)[0].tolist() == [[1, 2]]
+    assert rank_items(scores, [0], 2, exclusion(1, 3, [(0, 1)]))[0].tolist() == [[2, 0]]
+    assert rank_items(np.zeros((1, 3)), [0], 2)[0].tolist() == [[0, 1]]
+    items, top = rank_items(scores, [0], 5, exclusion(1, 3, [(0, 1)]))
+    assert items.tolist() == [[2, 0, -1, -1, -1]]
+    assert top.tolist() == [[0.5, 0.1, -np.inf, -np.inf, -np.inf]]
     with pytest.raises(ValueError):
         rank_items(scores, [0], 0)
 
@@ -315,22 +316,25 @@ def test_rank_items_matches_full_stable_sort(seed):
     users = rng.integers(0, m1, int(rng.integers(0, 6)))
     # integer scores in a small range tie often; some rows are all zero
     scores = rng.integers(-2, 3, (len(users), m2)).astype(float)
+    if rng.random() < 0.3:  # and some blocks have no ties
+        scores += rng.random(scores.shape)
     scores[rng.random(len(users)) < 0.3] = 0.0
     K = int(rng.integers(1, m2 + 3))
-    recs = rank_items(scores, users, K, exclude)
-    assert len(recs) == len(users)
+    items, top = rank_items(scores, users, K, exclude)
+    assert items.shape == top.shape == (len(users), K) and items.dtype == np.int64
     # a tensor with this target excludes the same items, and none of its auxiliary slice
     aux = sp.csr_matrix((rng.random((m1, m2)) < 0.5).astype(float))
     tensor = InteractionTensor(m1, m2, [exclude, aux], ["target", "aux"])
-    assert rank_items(scores, users, K, tensor) == recs
+    from_tensor = rank_items(scores, users, K, tensor)
+    assert np.array_equal(from_tensor[0], items) and np.array_equal(from_tensor[1], top)
     dense = exclude.toarray()
-    for rec, u, row in zip(recs, users, scores):
+    for got, got_scores, u, row in zip(items, top, users, scores):
         candidates = np.flatnonzero(dense[u] == 0)
         want = candidates[np.argsort(-row[candidates], kind="stable")][:K]
-        assert rec.user == u
-        assert rec.items == want.tolist()
-        assert rec.scores == row[want].tolist()
-        assert rec.truncated == (len(candidates) < K)
+        pad = K - len(want)
+        assert got.tolist() == want.tolist() + [-1] * pad
+        assert got_scores.tolist() == row[want].tolist() + [-np.inf] * pad
+
 
 
 def test_model_serialization_roundtrip(tmp_path):
