@@ -10,7 +10,7 @@ import numpy as np
 from popsi.data import HoldoutSets, InteractionTensor, SplitSpec, item_popularity, split_holdout
 from popsi.linalg import SvdOptions
 from popsi.metrics import EvalReport, evaluate
-from popsi.model import fit, score_user
+from popsi.model import FeatureSpaces, fit, score_user
 
 # variant name -> (use_si, use_pop); ItemPop has no fit flags
 VARIANT_FLAGS = {
@@ -36,34 +36,30 @@ def run_variant(
     k_values: Sequence[int] = (20, 50),
     svd_opts: SvdOptions | None = None,
     holdout: HoldoutSets | None = None,
+    spaces: FeatureSpaces | None = None,
 ) -> EvalReport:
-    """Fit one named variant and evaluate it on the held-out positives."""
+    """Fit one named variant and evaluate it on the held-out positives.
+
+    `spaces`, when given, are the subspaces estimated on the training tensor
+    cut by the variant's `use_si` flag (`with_side_info`); the fit then skips
+    its SVDs. ItemPop ignores them.
+    """
     if name not in VARIANT_NAMES:
         raise ValueError(f"unknown variant {name!r}; expected one of {VARIANT_NAMES}")
     if holdout is None:
         holdout = split_holdout(tensor, split)
-    pop = item_popularity(holdout.train)
 
     if name == "itempop":
-        score_fn = partial(itempop_scores, pop)
+        score_fn = partial(itempop_scores, item_popularity(holdout.train))
         use_si = use_pop = False
     else:
         use_si, use_pop = VARIANT_FLAGS[name]
         model = fit(
             holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
-            opts=svd_opts or SvdOptions(rank=r, rng_seed=split.rng_seed),
+            opts=svd_opts or SvdOptions(rank=r, rng_seed=split.rng_seed), spaces=spaces,
         )
         score_fn = partial(score_user, model)
 
-    config = {
-        "variant": name,
-        "r": r,
-        "p": p,
-        "use_si": use_si,
-        "use_pop": use_pop,
-        "seed": split.rng_seed,
-    }
-    return evaluate(
-        score_fn, holdout.test_positives, tensor.m1, pop, k_values,
-        exclude=holdout.train, config=config,
-    )
+    config = {"variant": name, "r": r, "p": p, "use_si": use_si, "use_pop": use_pop,
+              "seed": split.rng_seed}
+    return evaluate(score_fn, holdout.test_positives, holdout.train, k_values, config)

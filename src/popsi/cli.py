@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, asdict, field, fields, replace
@@ -16,7 +18,6 @@ import numpy as np
 from popsi.data import (
     SplitSpec,
     build_tensor,
-    item_popularity,
     parse_interactions,
     read_coordinate_triples,
     read_index,
@@ -26,7 +27,7 @@ from popsi.data import (
 )
 from popsi.linalg import SvdOptions
 from popsi.metrics import evaluate
-from popsi.model import fit, load_model, rank_items, save_model, score_user
+from popsi.model import estimate_subspaces, fit, load_model, rank_items, save_model, score_user
 
 
 @dataclass
@@ -179,19 +180,16 @@ def cmd_fit(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     train = split_holdout(read_coordinate_triples(out / "tensor.txt"), cfg.split_spec()).train
     log: dict = {}
-    model = fit(
-        train,
-        r=cfg.r,
-        p=cfg.p,
-        use_si=cfg.use_si,
-        use_pop=cfg.use_pop,
-        opts=cfg.svd_opts(),
-        log=log,
-    )
+    model = fit(train, cfg.r, cfg.p, cfg.use_si, cfg.use_pop, cfg.svd_opts(), log)
     # the behaviors are those of tensor.txt, whatever a --config file says
     _write_json(out / "effective_config.json",
                 asdict(replace(cfg, behaviors=train.behavior_labels)))
     save_model(model, out / "model.bin")
+    import scipy  # loaded by fit already
+
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    log["environment"] = {name: os.environ.get(name) for name in threads} | {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
     _write_json(out / "fit_log.json", log)
     print(f"fitted r={log['r']} r_refined={log['r_refined']} -> {out / 'model.bin'}")
     return 0
@@ -214,22 +212,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     holdout = split_holdout(tensor, cfg.split_spec())
     t2 = time.perf_counter()
     log: dict = {}
-    report = evaluate(
-        partial(score_user, model),
-        holdout.test_positives,
-        holdout.train.m1,
-        item_popularity(holdout.train),
-        cfg.k_values,
-        exclude=holdout.train,
-        config={
-            "r": model.spaces.r,
-            "p": model.p,
-            "use_si": model.use_si,
-            "use_pop": model.use_pop,
-            "seed": cfg.seed,
-        },
-        log=log,
-    )
+    config = {"r": model.spaces.r, "p": model.p, "use_si": model.use_si,
+              "use_pop": model.use_pop, "seed": cfg.seed}
+    report = evaluate(partial(score_user, model), holdout.test_positives, holdout.train,
+                      cfg.k_values, config, log)
     log["seconds"].update(load=t1 - t0, split=t2 - t1)
     _write_json(out / "eval_log.json", log)
     print(_write_json(out / "report.json", report.to_dict()), end="")
@@ -271,29 +257,25 @@ def _grid_values(param: str, text: str) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
+    """Fit and validate each grid value. A p sweep estimates the subspaces once,
+    because p only acts after the SVDs; an r sweep refits every point."""
     opts = cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
     out = Path(cfg.out)
     tensor, _, _ = _load_ingested(out)
     holdout = split_holdout(tensor, cfg.split_spec())
-    pop = item_popularity(holdout.train)
+    train = holdout.train
+    spaces = None
     rows = []
     status = 0
     for value in dict.fromkeys(values):
         r = int(value) if param == "r" else cfg.r
         p = float(value) if param == "p" else cfg.p
         try:
-            model = fit(
-                holdout.train, r=r, p=p, use_si=cfg.use_si, use_pop=cfg.use_pop,
-                opts=opts,
-            )
-            report = evaluate(
-                partial(score_user, model),
-                holdout.val_positives,  # sweeps tune on the validation split
-                tensor.m1,
-                pop,
-                [50],
-                exclude=holdout.train,
-            )
+            if spaces is None or param == "r":
+                spaces = estimate_subspaces(train.with_side_info(cfg.use_si), r, opts)
+            model = fit(train, r, p, cfg.use_si, cfg.use_pop, opts, spaces=spaces)
+            # sweeps tune on the validation split
+            report = evaluate(partial(score_user, model), holdout.val_positives, train, [50])
             rows.append((param, value, report.ndcg[50], report.pri))
         except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
             print(f"error: {param}={value} failed: {e}", file=sys.stderr)

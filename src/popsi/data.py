@@ -71,6 +71,14 @@ class InteractionTensor:
     def nnz(self) -> int:
         return len(self.entries)
 
+    def with_side_info(self, use_si: bool) -> InteractionTensor:
+        """The tensor a model is fitted on: this one, or its target slice alone when
+        `use_si` is off."""
+        if use_si:
+            return self
+        entries = self.entries[self.entries[:, 2] == 0]
+        return InteractionTensor.from_entries(self.m1, self.m2, entries, self.behavior_labels[:1])
+
     @cached_property
     def target_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The target slice as CSR arrays (indptr, indices), without scipy."""
@@ -120,9 +128,29 @@ class SplitSpec:
 
 @dataclass
 class HoldoutSets:
+    """A split's training tensor and its held-out target entries; the per-user
+    positives dicts are built on first read."""
+
     train: InteractionTensor
-    val_positives: dict[int, list[int]]
-    test_positives: dict[int, list[int]]
+    entries: np.ndarray  # the split tensor's entries
+    val_at: np.ndarray  # rows of `entries` held out for validation
+    test_at: np.ndarray  # rows of `entries` held out for test
+
+    @cached_property
+    def val_positives(self) -> dict[int, list[int]]:
+        return _per_user(self.entries[np.sort(self.val_at)])
+
+    @cached_property
+    def test_positives(self) -> dict[int, list[int]]:
+        return _per_user(self.entries[np.sort(self.test_at)])
+
+
+def _per_user(entries: np.ndarray) -> dict[int, list[int]]:
+    """User -> items of (u, v, k) entries sorted by (u, v)."""
+    users, starts = np.unique(entries[:, 0], return_index=True)
+    items = entries[:, 1].tolist()
+    bounds = starts.tolist() + [len(items)]
+    return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
 
 
 @dataclass
@@ -224,15 +252,7 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
     train = InteractionTensor.from_entries(
         tensor.m1, tensor.m2, tensor.entries[keep], tensor.behavior_labels
     )
-
-    def as_per_user(held: np.ndarray) -> dict[int, list[int]]:
-        e = tensor.entries[target_at[np.sort(held)]]
-        users, starts = np.unique(e[:, 0], return_index=True)
-        items = e[:, 1].tolist()
-        bounds = starts.tolist() + [len(items)]
-        return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
-
-    return HoldoutSets(train, as_per_user(val), as_per_user(test))
+    return HoldoutSets(train, tensor.entries, target_at[val], target_at[test])
 
 
 def item_popularity(tensor: InteractionTensor) -> np.ndarray:

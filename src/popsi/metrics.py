@@ -9,7 +9,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from popsi.data import InteractionTensor
+from popsi.data import InteractionTensor, item_popularity
 from popsi.model import rank_items
 
 SCORE_BLOCK = 1 << 20  # scores per evaluation block: 8 MB of float64
@@ -184,39 +184,38 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
 
 def evaluate(
     score_fn: Callable[[np.ndarray], np.ndarray],
-    test_positives: Mapping[int, Sequence[int]],
-    n_users: int,
-    pop_counts: np.ndarray,
-    k_values: Sequence[int] = (20, 50),
-    exclude: InteractionTensor | None = None,
+    positives: Mapping[int, Sequence[int]],
+    train: InteractionTensor,
+    k_values: Sequence[int],
     config: dict | None = None,
     log: dict | None = None,
 ) -> EvalReport:
     """Run the full metric suite for one block scorer against held-out positives.
 
     `score_fn(users)` returns one score row per user of an index array; the
-    test users are scored once, in blocks of about SCORE_BLOCK scores, and
-    the top-K lists and the PRI rank quantiles come from the same block.
-    The target entries of each user in `exclude` (the training tensor) are
-    removed from the user's candidates before ranking (PRI ranks only within
-    Pos_u and ignores it). When `log` is given it gets the seconds spent in
-    each stage (`seconds`), the users whose score row is all zero, the rows
-    ranked by a whole-row sort and the test users PRI skips.
+    users of `positives` are scored once, in blocks of about SCORE_BLOCK
+    scores, and the top-K lists and the PRI rank quantiles come from the same
+    block. The training tensor `train` gives the rest: the means run over its
+    m1 users, PRI reads its target-slice item counts, and each user's target
+    entries in it are removed from the user's candidates before ranking (PRI
+    ranks only within Pos_u and ignores them). When `log` is given it gets
+    the seconds spent in each stage (`seconds`), the users whose score row is
+    all zero, the rows ranked by a whole-row sort and the users PRI skips.
     """
     clock = time.perf_counter
     seconds = dict.fromkeys(("score", "rank", "metrics", "pri"), 0.0)
     stats = {"zero_score_users": 0, "whole_row_sorts": 0}
-    test_users = np.array(sorted(test_positives), dtype=np.int64)
-    pos_rows, pos_items = _positive_pairs(test_positives, test_users.tolist())
+    test_users = np.array(sorted(positives), dtype=np.int64)
+    pos_rows, pos_items = _positive_pairs(positives, test_users.tolist())
     items = np.empty((len(test_users), max(k_values)), dtype=np.int64)
     pos_scores = np.empty(len(pos_rows))
-    rows = max(1, SCORE_BLOCK // len(pop_counts))
+    rows = max(1, SCORE_BLOCK // train.m2)
     for start in range(0, len(test_users), rows):
         t0 = clock()
         block = test_users[start : start + rows]
         scores = score_fn(block)
         t1 = clock()
-        ranked, top = rank_items(scores, block, items.shape[1], exclude, stats)
+        ranked, top = rank_items(scores, block, items.shape[1], train, stats)
         items[start : start + len(block)] = ranked
         # an all-zero row has no positive candidate score, so only those rows are read
         maybe = np.flatnonzero(~(top[:, 0] > 0))
@@ -229,16 +228,16 @@ def evaluate(
         seconds["pri"] += clock() - t2
 
     t0 = clock()
-    recall, ndcg = _mean_metrics(items, pos_rows, pos_items, n_users, k_values)
+    recall, ndcg = _mean_metrics(items, pos_rows, pos_items, train.m1, k_values)
     t1 = clock()
     quantiles = avg_rank_quantiles(test_users[pos_rows], pos_items, pos_scores)
     skipped = int(np.count_nonzero(np.bincount(pos_rows, minlength=len(test_users)) < 2))
     try:
-        pri_value = pri(quantiles, pop_counts)
+        pri_value = pri(quantiles, item_popularity(train))
     except ValueError:
         pri_value = None
     seconds["metrics"] += t1 - t0
     seconds["pri"] += clock() - t1
     if log is not None:
         log.update(stats, seconds=seconds, users_skipped_pri=skipped)
-    return EvalReport(recall, ndcg, pri_value, n_users, skipped, config or {})
+    return EvalReport(recall, ndcg, pri_value, train.m1, skipped, config or {})

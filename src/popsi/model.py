@@ -137,25 +137,28 @@ def fit(
     use_pop: bool = True,
     opts: SvdOptions | None = None,
     log: dict | None = None,
+    spaces: FeatureSpaces | None = None,
 ) -> PreferenceModel:
     """Full fitting pipeline; ablation flags drop side information and/or the debias step.
 
     Items are labelled popular by their counts in the target slice of
-    `tensor`. When `log` is given it is filled with per-step timings, the
-    refined width, the two SVD reports (`svd.mode1`, `svd.mode2`) and the
-    debias report (`debias`, None when `use_pop` is off).
+    `tensor`. `spaces`, when given, are the subspaces `estimate_subspaces`
+    returned for `tensor.with_side_info(use_si)` at rank r; they are only
+    debiased and turned into cores, so one pair serves every p. When `log`
+    is given it is filled with per-step timings, the refined width, the two
+    SVD reports (`svd.mode1`, `svd.mode2`, when the SVDs ran) and the debias
+    report (`debias`, None when `use_pop` is off).
     """
-    if opts is None:
-        opts = SvdOptions(rank=r)
-    if not use_si:
-        tensor = InteractionTensor.from_entries(
-            tensor.m1, tensor.m2, tensor.entries[tensor.entries[:, 2] == 0],
-            tensor.behavior_labels[:1],
-        )
-    svd_log = None if log is None else log.setdefault("svd", {})
+    tensor = tensor.with_side_info(use_si)
     debias_log = {} if use_pop else None
     t0 = time.perf_counter()
-    spaces = estimate_subspaces(tensor, r, opts, svd_log)
+    if spaces is None:
+        svd_log = None if log is None else log.setdefault("svd", {})
+        spaces = estimate_subspaces(tensor, r, opts or SvdOptions(rank=r), svd_log)
+    elif (spaces.r, spaces.W.shape[0], spaces.H.shape[0]) != (r, tensor.m1, tensor.m2):
+        raise ValueError(f"spaces of rank {spaces.r} for {spaces.W.shape[0]} users and "
+                         f"{spaces.H.shape[0]} items do not fit r={r} on a "
+                         f"{tensor.m1} x {tensor.m2} tensor")
     t1 = time.perf_counter()
     if use_pop:
         features = build_popularity_features(item_popularity(tensor), p)
@@ -193,18 +196,17 @@ def rank_items(
     scores: np.ndarray,
     users,
     K: int,
-    exclude: InteractionTensor | sp.spmatrix | None = None,
+    exclude: InteractionTensor | None = None,
     log: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-K items of every row of a score block, as an n x K int64 matrix padded
     with -1 (rows with fewer than K candidates), and their scores, padded with -inf.
 
     Row i belongs to user users[i]. `exclude` is the training tensor, whose
-    target entries of users[i] are dropped from row i, or a sparse matrix
-    whose row users[i] lists them. Each list is the head of a stable
-    descending sort of its row, so ties break by ascending item index. A row
-    whose K-th score ties with an item left out takes that whole-row sort;
-    `log`, when given, counts these rows in `whole_row_sorts`.
+    target entries of users[i] are dropped from row i. Each list is the head
+    of a stable descending sort of its row, so ties break by ascending item
+    index. A row whose K-th score ties with an item left out takes that
+    whole-row sort; `log`, when given, counts these rows in `whole_row_sorts`.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -212,11 +214,7 @@ def rank_items(
     masked = np.array(scores, dtype=float)
     n_rows, m2 = masked.shape
     if exclude is not None:
-        if isinstance(exclude, InteractionTensor):
-            indptr, indices = exclude.target_rows
-        else:
-            exclude = exclude.tocsr()
-            indptr, indices = exclude.indptr, exclude.indices
+        indptr, indices = exclude.target_rows
         starts = indptr[users]
         counts = indptr[users + 1] - starts
         at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)

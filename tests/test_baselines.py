@@ -8,8 +8,9 @@ from popsi.baselines import (
     itempop_scores,
     run_variant,
 )
-from popsi.data import SplitSpec
-from popsi.model import rank_items
+from popsi.data import InteractionTensor, SplitSpec, split_holdout
+from popsi.linalg import SvdOptions
+from popsi.model import estimate_subspaces, rank_items
 
 
 def test_itempop_sort_by_count():
@@ -18,7 +19,7 @@ def test_itempop_sort_by_count():
 
 
 def test_itempop_exclusion():
-    exclude = sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))
+    exclude = InteractionTensor(1, 3, [sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))], ["t"])
     items, _ = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2, exclude=exclude)
     assert items.tolist() == [[0, 1]]
 
@@ -79,3 +80,18 @@ def test_itempop_has_maximal_pri():
     }
     assert reports["itempop"].pri >= reports["popsi_tensor"].pri
     assert reports["itempop"].pri >= reports["popsi_full"].pri
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_FLAGS))
+def test_run_variant_with_given_spaces_matches_refit(name):
+    rng = np.random.default_rng(4)
+    tensor = random_binary_tensor(rng, 30, 24, 3, density=0.25)
+    split = SplitSpec(rng_seed=6)
+    holdout = split_holdout(tensor, split)
+    use_si = VARIANT_FLAGS[name][0]
+    spaces = estimate_subspaces(holdout.train.with_side_info(use_si), 4,
+                                SvdOptions(rank=4, rng_seed=6))
+    refit = run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10])
+    reused = run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10], holdout=holdout,
+                         spaces=spaces)
+    assert reused == refit

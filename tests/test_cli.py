@@ -186,6 +186,11 @@ def test_fit_evaluate_pipeline(workspace, capsys):
         assert 0 <= svd["qr_fallbacks"] <= svd["iterations"] + 2
     assert set(log["debias"]) == {"rounds", "max_abs_pth"}
     assert 1 <= log["debias"]["rounds"] <= 3 and 0 <= log["debias"]["max_abs_pth"] <= 1e-10
+    env = log["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
     assert run(["evaluate", "--config", cfg]) == 0
     report = json.loads((out / "report.json").read_text())
     for key in ("recall_at_5", "recall_at_10", "ndcg_at_5", "ndcg_at_10", "pri",
@@ -272,6 +277,67 @@ def test_sweep_propagates_programming_errors(workspace, monkeypatch):
     monkeypatch.setattr("popsi.cli.fit", broken_fit)
     with pytest.raises(TypeError, match="broken fit"):
         run(["sweep", "--config", cfg, "--param", "r", "--values", "4"])
+
+
+def _count_subspace_estimates(monkeypatch) -> list:
+    """Every estimate_subspaces call, by the CLI itself or inside fit."""
+    import popsi.model
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return estimate(*args, **kwargs)
+
+    estimate = popsi.model.estimate_subspaces
+    monkeypatch.setattr("popsi.cli.estimate_subspaces", counted)
+    monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-si"], ["--no-pop"], ["--no-si", "--no-pop"]],
+                         ids=["full", "no-si", "no-pop", "no-si-no-pop"])
+def test_p_sweep_matches_per_point_fits(workspace, monkeypatch, flags):
+    from functools import partial
+
+    from popsi.data import read_coordinate_triples, split_holdout
+    from popsi.metrics import evaluate
+    from popsi.model import fit, score_user
+
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    calls = _count_subspace_estimates(monkeypatch)
+    assert run(["sweep", "--config", cfg, *flags, "--param", "p", "--values", "0.1,0.3,0.5"]) == 0
+    assert calls == [6]  # one SVD pair for the whole sweep
+    monkeypatch.undo()
+    config = RunConfig(r=6, seed=9, use_si="--no-si" not in flags, use_pop="--no-pop" not in flags)
+    tensor = read_coordinate_triples(tmp_path / "out" / "tensor.txt")
+    holdout = split_holdout(tensor, config.split_spec())
+    expected = ["param,value,ndcg_at_50,pri"]
+    for p in (0.1, 0.3, 0.5):
+        model = fit(holdout.train, 6, p, config.use_si, config.use_pop, config.svd_opts())
+        report = evaluate(partial(score_user, model), holdout.val_positives, holdout.train, [50])
+        expected.append(f"p,{p:g},{report.ndcg[50]:.6f},{report.pri:.6f}")
+    assert (tmp_path / "out" / "sweep.csv").read_text().splitlines() == expected
+
+
+def test_r_sweep_refits_every_point(workspace, monkeypatch):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    calls = _count_subspace_estimates(monkeypatch)
+    assert run(["sweep", "--config", cfg, "--param", "r", "--values", "4,6"]) == 0
+    assert calls == [4, 6]
+
+
+def test_p_sweep_with_failing_svd_blanks_every_row(workspace, capsys):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    assert run(["sweep", "--config", cfg, "--r", "1000", "--param", "p",
+                "--values", "0.1,0.2"]) == 1
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows == ["param,value,ndcg_at_50,pri", "p,0.1,,", "p,0.2,,"]
+    err = capsys.readouterr().err
+    assert "p=0.1 failed: rank 1000 exceeds" in err and "p=0.2 failed" in err
 
 
 @pytest.mark.parametrize(

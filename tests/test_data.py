@@ -163,6 +163,13 @@ def test_split_deterministic():
     assert a.test_positives == b.test_positives
 
 
+def test_split_builds_positives_on_first_read():
+    hold = split_holdout(_tensor(_lines_grid(3, 4)), SplitSpec(rng_seed=1))
+    assert "val_positives" not in vars(hold) and "test_positives" not in vars(hold)
+    assert hold.test_positives is hold.test_positives
+    assert "val_positives" not in vars(hold)
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec((0.5, 0.5, 0.5))

@@ -305,12 +305,11 @@ def test_evaluate_matches_per_user_reference(seed, block_rows):
         free = np.flatnonzero(~train[u])
         positives[u] = rng.permutation(free)[: rng.integers(0, min(len(free), 6) + 1)].tolist()
     k_values = sorted({int(rng.integers(1, m2 + 5)), int(rng.integers(1, m2 + 5))})
-    exclude = InteractionTensor(n_users, m2, [sp.csr_matrix(train.astype(float))], ["t"])
-    pop = rng.integers(0, 20, m2)
+    tensor = InteractionTensor(n_users, m2, [sp.csr_matrix(train.astype(float))], ["t"])
+    pop = train.sum(axis=0)  # PRI reads the training tensor's item counts
     log = {}
     with mock.patch.object(metrics, "SCORE_BLOCK", block_rows * m2):
-        report = evaluate(lambda users: scores[users], positives, n_users, pop, k_values,
-                          exclude=exclude, log=log)
+        report = evaluate(lambda users: scores[users], positives, tensor, k_values, log=log)
     recall, ndcg, pri_value = ref_evaluate(scores, positives, train, n_users, pop, k_values)
     assert report.recall == recall
     assert report.ndcg == ndcg

@@ -291,8 +291,10 @@ def test_score_user_block_matches_rows():
 
 
 def exclusion(m1, m2, pairs):
+    """A one-slice training tensor whose target entries are `pairs`."""
     rows, cols = zip(*pairs) if pairs else ((), ())
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m1, m2))
+    target = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m1, m2))
+    return InteractionTensor(m1, m2, [target], ["target"])
 
 
 def test_top_k_ordering_and_exclusion():
@@ -312,7 +314,10 @@ def test_top_k_ordering_and_exclusion():
 def test_rank_items_matches_full_stable_sort(seed):
     rng = np.random.default_rng(seed)
     m1, m2 = int(rng.integers(1, 8)), int(rng.integers(1, 12))
-    exclude = sp.csr_matrix((rng.random((m1, m2)) < rng.random()).astype(float))
+    target = sp.csr_matrix((rng.random((m1, m2)) < rng.random()).astype(float))
+    # the auxiliary slice of the training tensor excludes nothing
+    aux = sp.csr_matrix((rng.random((m1, m2)) < 0.5).astype(float))
+    exclude = InteractionTensor(m1, m2, [target, aux], ["target", "aux"])
     users = rng.integers(0, m1, int(rng.integers(0, 6)))
     # integer scores in a small range tie often; some rows are all zero
     scores = rng.integers(-2, 3, (len(users), m2)).astype(float)
@@ -322,12 +327,7 @@ def test_rank_items_matches_full_stable_sort(seed):
     K = int(rng.integers(1, m2 + 3))
     items, top = rank_items(scores, users, K, exclude)
     assert items.shape == top.shape == (len(users), K) and items.dtype == np.int64
-    # a tensor with this target excludes the same items, and none of its auxiliary slice
-    aux = sp.csr_matrix((rng.random((m1, m2)) < 0.5).astype(float))
-    tensor = InteractionTensor(m1, m2, [exclude, aux], ["target", "aux"])
-    from_tensor = rank_items(scores, users, K, tensor)
-    assert np.array_equal(from_tensor[0], items) and np.array_equal(from_tensor[1], top)
-    dense = exclude.toarray()
+    dense = target.toarray()
     for got, got_scores, u, row in zip(items, top, users, scores):
         candidates = np.flatnonzero(dense[u] == 0)
         want = candidates[np.argsort(-row[candidates], kind="stable")][:K]
@@ -389,3 +389,14 @@ def test_model_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_model(path)
+
+
+def test_fit_rejects_spaces_of_other_shape():
+    tensor = random_binary_tensor(np.random.default_rng(5), 12, 9, 2, density=0.4)
+    spaces = estimate_subspaces(tensor, 3, SvdOptions(rank=3))
+    with pytest.raises(ValueError, match="do not fit r=4"):
+        fit(tensor, r=4, spaces=spaces)
+    for m1, m2 in [(12, 8), (11, 9)]:  # another item count, another user count
+        other = random_binary_tensor(np.random.default_rng(6), m1, m2, 2, density=0.4)
+        with pytest.raises(ValueError, match=f"{m1} x {m2} tensor"):
+            fit(other, r=3, spaces=spaces)
