@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -176,11 +177,20 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _trained_on(cfg: RunConfig, train) -> dict:
+    """The split a model is fitted on, and a digest of its training entries."""
+    spec = cfg.split_spec()
+    digest = hashlib.sha256(repr(train.dims).encode() + train.entries.tobytes()).hexdigest()
+    return {"split": {"ratios": list(spec.ratios), "rng_seed": spec.rng_seed},
+            "train_sha256": digest}
+
+
 def cmd_fit(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     train = split_holdout(read_coordinate_triples(out / "tensor.txt"), cfg.split_spec()).train
     log: dict = {}
     model = fit(train, cfg.r, cfg.p, cfg.use_si, cfg.use_pop, cfg.svd_opts(), log)
+    model.trained_on = _trained_on(cfg, train)
     # the behaviors are those of tensor.txt, whatever a --config file says
     _write_json(out / "effective_config.json",
                 asdict(replace(cfg, behaviors=train.behavior_labels)))
@@ -196,12 +206,19 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def _load_fitted(out: Path):
-    """Tensor, index files and model of a fitted run; the model must match the ingested data."""
-    tensor, users, items = _load_ingested(out)
-    model = load_model(out / "model.bin")
-    if model.spaces.W.shape[0] != tensor.m1 or model.spaces.H.shape[0] != tensor.m2:
-        raise ValueError("model dimensions do not match the ingested data")
-    return tensor, users, items, model
+    """Tensor, index files and model of a fitted run."""
+    return *_load_ingested(out), load_model(out / "model.bin")
+
+
+def _fitted_split(cfg: RunConfig, tensor, model):
+    """The run's holdout split; `model` must record its training entries (`trained_on`)."""
+    holdout = split_holdout(tensor, cfg.split_spec())
+    if model.trained_on != _trained_on(cfg, holdout.train):
+        out = Path(cfg.out)
+        raise ValueError(f"{out / 'model.bin'} and the training entries of split "
+                         f"{cfg.split_spec()} of {out / 'tensor.txt'} do not match; "
+                         "run `popsi fit` again")
+    return holdout
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -209,7 +226,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     tensor, _, _, model = _load_fitted(out)
     t1 = time.perf_counter()
-    holdout = split_holdout(tensor, cfg.split_spec())
+    holdout = _fitted_split(cfg, tensor, model)
     t2 = time.perf_counter()
     log: dict = {}
     config = {"r": model.spaces.r, "p": model.p, "use_si": model.use_si,
@@ -224,7 +241,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
     tensor, users, items, model = _load_fitted(Path(cfg.out))
-    train = split_holdout(tensor, cfg.split_spec()).train
+    train = _fitted_split(cfg, tensor, model).train
     user_index = {token: u for u, token in enumerate(users)}
     known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
     ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)

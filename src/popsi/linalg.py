@@ -83,6 +83,30 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
     stop reason, the final residual, the gap sigma_r / sigma_{r+1} (None when
     ell = r or sigma_{r+1} = 0) and the number of Householder fallbacks.
     """
+    return _rayleigh_ritz(*_subspace_iteration(A, opts), opts.rank, log)
+
+
+def _qr(Y: np.ndarray, report: dict, with_q: bool = True):
+    """CholeskyQR2, or Householder QR counted in report["qr_fallbacks"]."""
+    QR = _cholesky_qr2(Y, with_q)
+    if QR is None:
+        report["qr_fallbacks"] += 1
+        QR = np.linalg.qr(Y)
+    return QR
+
+
+def _power_step(A: sp.csr_matrix, At: sp.csr_matrix, Q: np.ndarray) -> np.ndarray:
+    """A @ (At @ Q), 32 columns at a time so that At @ Q is never held whole; a
+    sparse-dense product treats each column alone, so the result is bit-equal."""
+    Y = np.empty((A.shape[0], Q.shape[1]))
+    for j in range(0, Q.shape[1], 32):
+        Y[:, j : j + 32] = A @ (At @ Q[:, j : j + 32])
+    return Y
+
+
+def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
+    """The power steps of `truncated_svd_left`: the last m x ell block Q, A^T as
+    CSR, and the iteration count, stop reason, residual and QR fallbacks."""
     m, n = A.shape
     r = opts.rank
     if r > min(m, n):
@@ -94,28 +118,20 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
     ell = min(r + opts.oversample, min(m, n))
     A = A.tocsr()
     At = A.T.tocsr()
+    report = {"qr_fallbacks": 0}  # blocks that took Householder QR
 
-    fallbacks = 0  # blocks that took Householder QR
-
-    def qr(Y, with_q=True):
-        nonlocal fallbacks
-        QR = _cholesky_qr2(Y, with_q)
-        if QR is None:
-            fallbacks += 1
-            QR = np.linalg.qr(Y)
-        return QR
-
-    Q, _ = qr(A @ rng.standard_normal((n, ell)))
+    Q, _ = _qr(A @ rng.standard_normal((n, ell)), report)
     residual = np.inf
     stalled = 0
     for it in range(1, opts.max_iters + 1):
-        Q_new, _ = qr(A @ (At @ Q))
+        Q_new, _ = _qr(_power_step(A, At, Q), report)
         prev = residual
         # projector movement of the leading r columns between iterations; first
         # read (as prev) at step power_iters
         if it >= opts.power_iters - 1:
             lead = Q_new[:, :r]
-            residual = np.linalg.norm(lead - Q[:, :r] @ (Q[:, :r].T @ lead))
+            moved = Q[:, :r] @ (Q[:, :r].T @ lead)
+            residual = np.linalg.norm(np.subtract(lead, moved, out=moved))
         Q = Q_new
         if it < opts.power_iters:
             continue
@@ -130,19 +146,18 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
             break
     else:
         raise SvdConvergenceError(residual, opts.max_iters)
+    report.update(iterations=it, stop=stop, residual=float(residual))
+    return Q, At, report
 
-    # Rayleigh-Ritz: Q^T A = R^T Z^T with Z orthonormal, so the left singular
-    # vectors of Q^T A are those of the ell x ell factor R^T
-    _, R = qr(At @ Q, with_q=False)
+
+def _rayleigh_ritz(Q: np.ndarray, At: sp.csr_matrix, report: dict, r: int, log: dict | None):
+    """The leading r Ritz vectors of A in range(Q), for `_subspace_iteration`'s Q, At and report."""
+    # Q^T A = R^T Z^T with Z orthonormal, so the left singular vectors of
+    # Q^T A are those of the ell x ell factor R^T
+    _, R = _qr(At @ Q, report, with_q=False)
     Ub, s, _ = np.linalg.svd(R.T)
     if log is not None:
-        log.update(
-            iterations=it,
-            stop=stop,
-            residual=float(residual),
-            sigma_gap=float(s[r - 1] / s[r]) if ell > r and s[r] > 0 else None,
-            qr_fallbacks=fallbacks,
-        )
+        log.update(report, sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None)
     return np.ascontiguousarray(Q @ Ub[:, :r])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import struct
 import time
@@ -14,6 +15,8 @@ from popsi.data import InteractionTensor, item_popularity, row_pointers
 from popsi.linalg import (
     ORTHO_TOL,
     SvdOptions,
+    _rayleigh_ritz,
+    _subspace_iteration,
     orthonormalize,
     project_out,
     truncated_svd_left,
@@ -47,6 +50,7 @@ class PreferenceModel:
     p: float
     use_si: bool
     use_pop: bool
+    trained_on: dict | None = None  # the split and a digest of the training entries
 
 
 def unfold(tensor: InteractionTensor, mode: int) -> sp.csr_matrix:
@@ -96,13 +100,34 @@ def estimate_subspaces(
 ) -> FeatureSpaces:
     """User/item bases from the dominant left singular subspaces of the two unfoldings.
 
-    When `log` is given, each SVD's report goes under `mode1` and `mode2`.
+    Mode 2's power steps run on a worker thread beside the whole mode-1 SVD, and
+    its Ritz step after the join; each array operation is that of a lone
+    `truncated_svd_left` call, so the bases do not depend on the overlap. When
+    `log` is given, each SVD's report and wall time (`seconds`) go under
+    `mode1` and `mode2`.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on this path
+
     log = {} if log is None else log
-    w_opts = replace(opts, rank=r)
     h_opts = replace(opts, rank=r, rng_seed=opts.rng_seed + 1)
-    W = truncated_svd_left(unfold(tensor, 1), w_opts, log.setdefault("mode1", {}))
-    H = truncated_svd_left(unfold(tensor, 2), h_opts, log.setdefault("mode2", {}))
+    A1, A2 = unfold(tensor, 1), unfold(tensor, 2)
+
+    def iterate_mode2():
+        t = time.perf_counter()
+        return _subspace_iteration(A2, h_opts), time.perf_counter() - t
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        mode2 = pool.submit(iterate_mode2)
+        t = time.perf_counter()
+        W = truncated_svd_left(A1, replace(opts, rank=r), log.setdefault("mode1", {}))
+        log["mode1"]["seconds"] = time.perf_counter() - t
+        (Q, At, report), seconds = mode2.result()
+    # glibc keeps what the worker freed resident in its own arena; hand it back
+    # before the Ritz step maps its two blocks
+    getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
+    t = time.perf_counter()
+    H = _rayleigh_ritz(Q, At, report, r, log.setdefault("mode2", {}))
+    log["mode2"]["seconds"] = seconds + time.perf_counter() - t
     return FeatureSpaces(W, H, r)
 
 
@@ -261,6 +286,7 @@ def save_model(model: PreferenceModel, path) -> None:
         "behavior_labels": model.behavior_labels,
         "n_cores": len(model.cores),
         "core_shapes": [list(c.shape) for c in model.cores],
+        "trained_on": model.trained_on,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
@@ -301,6 +327,5 @@ def load_model(path) -> PreferenceModel:
         if f.read(1):
             raise ValueError(f"model file {path} has trailing bytes after its arrays")
     spaces = FeatureSpaces(W, H, meta["r"])
-    return PreferenceModel(
-        spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"], meta["use_pop"]
-    )
+    return PreferenceModel(spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"],
+                           meta["use_pop"], meta.get("trained_on"))

@@ -180,7 +180,9 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     assert log["steps"]["debias_skipped"] is False
     for mode in ("mode1", "mode2"):
         svd = log["svd"][mode]
-        assert set(svd) == {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks"}
+        assert set(svd) == {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks",
+                            "seconds"}
+        assert 0 <= svd["seconds"] <= log["steps"]["subspace_svd_seconds"]
         assert svd["iterations"] >= 4 and svd["stop"] in ("converged", "stalled")
         assert svd["residual"] >= 0 and svd["sigma_gap"] >= 1
         assert 0 <= svd["qr_fallbacks"] <= svd["iterations"] + 2
@@ -255,6 +257,39 @@ def test_recommend_rejects_model_of_other_data(workspace, capsys):
         assert run(command) == 2
         captured = capsys.readouterr()
         assert "do not match" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("other", ["seed", "entries"])
+def test_evaluate_and_recommend_reject_model_of_other_split(workspace, capsys, other):
+    """A model.bin fitted on another split, of another seed or of other entries of the
+    same users and items, is caught by the split record it carries, though its shapes
+    match."""
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    run(["ingest", "--config", cfg])
+    if other == "seed":
+        assert run(["fit", "--config", cfg, "--seed", "1"]) == 0
+        donor = out
+    else:  # one user clicks every item: new auxiliary entries, the same target split
+        log = (tmp_path / "interactions.csv").read_text()
+        user = log.split(",", 1)[0]
+        items = dict.fromkeys(line.split(",")[1] for line in log.splitlines())
+        more = tmp_path / "more.csv"
+        more.write_text(log + "".join(f"{user},{item},click,1\n" for item in items))
+        donor = tmp_path / "donor"
+        assert run(["ingest", "--config", cfg, "--input", more, "--out", donor]) == 0
+        assert run(["fit", "--config", cfg, "--out", donor]) == 0
+    donor_model = (donor / "model.bin").read_bytes()
+    assert run(["fit", "--config", cfg]) == 0
+    assert run(["evaluate", "--config", cfg]) == 0
+    assert len((out / "model.bin").read_bytes()) == len(donor_model)
+    (out / "model.bin").write_bytes(donor_model)
+    capsys.readouterr()
+    for command in (["recommend", "--config", cfg, "u0"], ["evaluate", "--config", cfg]):
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert str(out / "model.bin") in captured.err and "seed=9" in captured.err
+        assert captured.out == ""
 
 
 def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):

@@ -8,6 +8,7 @@ from popsi.linalg import (
     SvdConvergenceError,
     SvdOptions,
     _cholesky_qr2,
+    _power_step,
     orthonormalize,
     project_out,
     truncated_svd_left,
@@ -139,6 +140,16 @@ def test_svd_falls_back_on_ill_conditioned_block():
     assert orthonormality_error(Q) <= 1e-12
     dense = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :5]
     assert subspace_angle_sin(Q, dense) <= 1e-8
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_power_step_bit_equals_one_shot_product(order):
+    """Column chunks of A (A^T Q) (45 = 32 + 13 columns) are the one-shot product's bits."""
+    rng = np.random.default_rng(31)
+    A = sparse_binary(rng, 70, 150, 0.1) + sp.random(70, 150, density=0.05, random_state=3)
+    At = A.T.tocsr()
+    Q = np.asarray(rng.standard_normal((70, 45)), order=order)
+    assert np.array_equal(_power_step(A, At, Q), A @ (At @ Q))
 
 
 def test_svd_diagonal_matrix():

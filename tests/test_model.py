@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import block_binary_tensor, random_binary_tensor, random_orthonormal
 from popsi.data import InteractionTensor, ParsedLog, build_tensor
-from popsi.linalg import ORTHO_TOL, SvdOptions
+from popsi.linalg import ORTHO_TOL, SvdOptions, truncated_svd_left
 from popsi.model import (
     FeatureSpaces,
     build_popularity_features,
@@ -165,6 +166,38 @@ def test_estimate_subspaces_single_slice_is_matrix_svd():
     spaces = estimate_subspaces(tensor, 3, SvdOptions(rank=3, rng_seed=5))
     U, s, Vt = np.linalg.svd(tensor.target.toarray(), full_matrices=False)
     assert np.max(np.abs(spaces.W @ spaces.W.T - U[:, :3] @ U[:, :3].T)) <= 1e-8
+
+
+def test_estimate_subspaces_equals_sequential_svds():
+    """The overlapped SVDs give the bases and reports of two lone calls, bit for bit;
+    ell = 47 is no multiple of the power step's column chunk."""
+    tensor = random_binary_tensor(np.random.default_rng(21), 80, 60, 3, density=0.2)
+    opts = SvdOptions(rank=37, rng_seed=4)
+    log = {}
+    spaces = estimate_subspaces(tensor, 37, opts, log)
+    for mode, got, seed in [(1, spaces.W, 4), (2, spaces.H, 5)]:
+        want_log = {}
+        want = truncated_svd_left(unfold(tensor, mode), SvdOptions(rank=37, rng_seed=seed),
+                                  want_log)
+        assert np.array_equal(got, want)
+        assert log[f"mode{mode}"].pop("seconds") >= 0 and log[f"mode{mode}"] == want_log
+
+
+@pytest.mark.parametrize("m1, m2", [(10, 4), (4, 10), (4, 3)],
+                         ids=["mode2-only", "mode1-only", "both"])
+def test_estimate_subspaces_failure_is_the_sequential_one(m1, m2):
+    """r above m2 fails in mode 2, above m1 in mode 1; when both fail, mode 1's
+    error wins, as when the SVDs ran one after the other. No worker thread
+    outlives the call."""
+    tensor = random_binary_tensor(np.random.default_rng(22), m1, m2, 2, density=0.5)
+    with pytest.raises(ValueError) as want:
+        for mode in (1, 2):
+            truncated_svd_left(unfold(tensor, mode), SvdOptions(rank=5))
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as got:
+        estimate_subspaces(tensor, 5, SvdOptions(rank=5))
+    assert str(got.value) == str(want.value)
+    assert threading.active_count() == threads
 
 
 def test_debias_removes_popularity_direction():
