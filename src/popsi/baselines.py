@@ -34,7 +34,6 @@ def run_variant(
     r: int,
     p: float,
     k_values: Sequence[int] = (20, 50),
-    svd_opts: SvdOptions | None = None,
     holdout: HoldoutSets | None = None,
     spaces: FeatureSpaces | None = None,
 ) -> EvalReport:
@@ -56,7 +55,7 @@ def run_variant(
         use_si, use_pop = VARIANT_FLAGS[name]
         model = fit(
             holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
-            opts=svd_opts or SvdOptions(rank=r, rng_seed=split.rng_seed), spaces=spaces,
+            opts=SvdOptions(rank=r, rng_seed=split.rng_seed), spaces=spaces,
         )
         score_fn = partial(score_user, model)
 

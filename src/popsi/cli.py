@@ -104,24 +104,30 @@ def load_config(path: str | None) -> dict:
     return settings
 
 
-def _resolve_config(command: str, settings: dict) -> RunConfig:
-    """Defaults < the run's recorded effective_config.json (every command but ingest) < settings.
+def _read_recorded(path: Path) -> dict:
+    """effective_config.json's settings, each a RunConfig field of exact type (bool is not int)."""
+    try:
+        recorded = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ValueError(f"run directory {path.parent} has no effective_config.json; "
+                         "run `popsi ingest` into it first") from None
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{path}: expected a JSON object of settings")
+    for key, value in recorded.items():
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        kind, _, element = _FIELD_TYPES[key].rstrip("]").partition("[")
+        elements = value if element and isinstance(value, list) else []
+        if type(value).__name__ != kind or any(type(v).__name__ != element for v in elements):
+            raise ValueError(f"{path}: {key} must be of type {_FIELD_TYPES[key]}, got {value!r}")
+    return recorded
 
-    `evaluate` and `recommend` must use the split the run was fitted on.
-    """
+
+def _resolve_config(command: str, settings: dict) -> RunConfig:
+    """Defaults < the run's effective_config.json (every command but ingest) < settings."""
     out = Path(settings.setdefault("out", RunConfig.out))
-    recorded = RunConfig()
-    if command != "ingest":
-        try:
-            recorded = replace(recorded, **json.loads((out / "effective_config.json").read_text()))
-        except FileNotFoundError:
-            raise ValueError(f"run directory {out} has no effective_config.json; "
-                             "run `popsi ingest` into it first") from None
-    cfg = replace(recorded, **settings)
-    if command in ("evaluate", "recommend") and cfg.split_spec() != recorded.split_spec():
-        raise ValueError(f"split {cfg.split_spec()} differs from {recorded.split_spec()}, "
-                         f"recorded in {out / 'effective_config.json'}")
-    return cfg
+    recorded = {} if command == "ingest" else _read_recorded(out / "effective_config.json")
+    return replace(RunConfig(), **{**recorded, **settings})
 
 
 def _write_json(path: Path, obj) -> str:
@@ -130,33 +136,14 @@ def _write_json(path: Path, obj) -> str:
     return text
 
 
-def _load_ingested(out: Path):
-    tensor = read_coordinate_triples(out / "tensor.txt")
-    users = read_index(out / "users.txt")
-    items = read_index(out / "items.txt")
-    return tensor, users, items
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
-    if not cfg.behaviors:
-        print("error: no behavior labels configured", file=sys.stderr)
-        return 2
-    try:
-        with open(cfg.input) as f:
-            log = parse_interactions(
-                f, cfg.behaviors, delimiter=cfg.delimiter, has_header=cfg.has_header
-            )
-    except OSError as e:
-        print(f"error: cannot read input: {e}", file=sys.stderr)
-        return 2
-    if not len(log.entries):
-        print("error: no records", file=sys.stderr)
-        return 2
+    with open(cfg.input) as f:  # an unreadable input is main's OSError
+        log = parse_interactions(f, cfg.behaviors, delimiter=cfg.delimiter,
+                                 has_header=cfg.has_header)
     tensor = build_tensor(log, cfg.behaviors)
     counts = np.bincount(tensor.entries[:, 2], minlength=tensor.n).tolist()
     if not counts[0]:
-        print(f"error: no records of the target behavior {cfg.behaviors[0]!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no records of the target behavior {cfg.behaviors[0]!r}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "effective_config.json", asdict(cfg))
@@ -205,26 +192,26 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_fitted(out: Path):
-    """Tensor, index files and model of a fitted run."""
-    return *_load_ingested(out), load_model(out / "model.bin")
-
-
 def _fitted_split(cfg: RunConfig, tensor, model):
-    """The run's holdout split; `model` must record its training entries (`trained_on`)."""
-    holdout = split_holdout(tensor, cfg.split_spec())
+    """The holdout split asked for; `model` must record it and its training entries
+    (`trained_on`), so a model of another split or of other data is refused."""
+    spec = cfg.split_spec()
+    holdout = split_holdout(tensor, spec)
     if model.trained_on != _trained_on(cfg, holdout.train):
         out = Path(cfg.out)
-        raise ValueError(f"{out / 'model.bin'} and the training entries of split "
-                         f"{cfg.split_spec()} of {out / 'tensor.txt'} do not match; "
-                         "run `popsi fit` again")
+        split = (model.trained_on or {}).get("split")
+        fitted = split and SplitSpec(tuple(split["ratios"]), split["rng_seed"])
+        raise ValueError(f"{out / 'model.bin'} records split {fitted}, and the training entries "
+                         f"of split {spec} of {out / 'tensor.txt'} do not match it; ask for "
+                         "the split the model records, or run `popsi fit` again")
     return holdout
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     t0 = time.perf_counter()
-    tensor, _, _, model = _load_fitted(out)
+    tensor = read_coordinate_triples(out / "tensor.txt")
+    model = load_model(out / "model.bin")
     t1 = time.perf_counter()
     holdout = _fitted_split(cfg, tensor, model)
     t2 = time.perf_counter()
@@ -240,8 +227,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
-    tensor, users, items, model = _load_fitted(Path(cfg.out))
+    out = Path(cfg.out)
+    tensor = read_coordinate_triples(out / "tensor.txt")
+    model = load_model(out / "model.bin")
     train = _fitted_split(cfg, tensor, model).train
+    users, items = read_index(out / "users.txt"), read_index(out / "items.txt")
     user_index = {token: u for u, token in enumerate(users)}
     known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
     ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)
@@ -278,8 +268,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     because p only acts after the SVDs; an r sweep refits every point."""
     opts = cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
     out = Path(cfg.out)
-    tensor, _, _ = _load_ingested(out)
-    holdout = split_holdout(tensor, cfg.split_spec())
+    holdout = split_holdout(read_coordinate_triples(out / "tensor.txt"), cfg.split_spec())
     train = holdout.train
     spaces = None
     rows = []
@@ -369,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_recommend(cfg, args["users"])
         if command == "sweep":
             return cmd_sweep(cfg, args["param"], _grid_values(args["param"], args["values"]))
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, RuntimeError) as e:  # RuntimeError: an SVD or debias failed
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

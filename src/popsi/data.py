@@ -225,7 +225,7 @@ def build_tensor(log: ParsedLog, behavior_labels: Sequence[str]) -> InteractionT
     if len(set(labels)) != len(labels):
         raise ValueError(f"behavior labels must be distinct, got {labels}")
     if not len(log.entries):
-        raise ValueError("cannot build a tensor from zero records")
+        raise ValueError("no records: cannot build a tensor from zero records")
     dims = (len(log.user_tokens), len(log.item_tokens), len(labels))
     return InteractionTensor.from_entries(*dims[:2], _sorted_unique(log.entries, dims), labels)
 

@@ -14,14 +14,6 @@ ORTHO_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 
 
-class SvdConvergenceError(RuntimeError):
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"subspace iteration did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-
-
 @dataclass(frozen=True)
 class SvdOptions:
     rank: int
@@ -145,7 +137,8 @@ def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
             stop = "stalled"
             break
     else:
-        raise SvdConvergenceError(residual, opts.max_iters)
+        raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
+                           f"after {opts.max_iters} iterations")
     report.update(iterations=it, stop=stop, residual=float(residual))
     return Q, At, report
 
@@ -184,14 +177,14 @@ def project_out(H: np.ndarray, P: sp.spmatrix | np.ndarray) -> np.ndarray:
     return H - Pd @ ((Pd.T @ H) / diag[:, None])
 
 
-def orthonormalize(H: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+def orthonormalize(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(H); numerically rank-deficient directions are dropped."""
     if H.ndim != 2 or H.shape[1] < 1:
         raise ValueError("H must have at least one column")
     U, s, _ = np.linalg.svd(H, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         raise ValueError("cannot orthonormalize an all-zero matrix")
-    keep = s > rel_tol * s[0]
+    keep = s > RANK_REL_TOL * s[0]
     if not np.any(keep):
         raise ValueError("cannot orthonormalize an all-zero matrix")
     return np.ascontiguousarray(U[:, keep])

@@ -31,7 +31,6 @@ DEFAULT_POPULAR_FRACTION = 0.2
 
 @dataclass
 class PopularityFeatures:
-    p: float
     P: sp.csr_matrix  # m2 x 2 one-hot: column 0 popular, column 1 less popular
 
 
@@ -92,7 +91,7 @@ def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFea
     cols = np.ones(m2, dtype=np.int64)
     cols[order[:n_popular]] = 0
     P = sp.csr_matrix((np.ones(m2), (np.arange(m2), cols)), shape=(m2, 2))
-    return PopularityFeatures(p, P)
+    return PopularityFeatures(P)
 
 
 def estimate_subspaces(
@@ -198,7 +197,6 @@ def fit(
         log["steps"] = {
             "subspace_svd_seconds": t1 - t0,
             "debias_seconds": (t2 - t1) if use_pop else None,
-            "debias_skipped": not use_pop,
             "cores_seconds": t3 - t2,
         }
     return PreferenceModel(spaces, cores, list(tensor.behavior_labels), p, use_si, use_pop)

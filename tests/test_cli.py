@@ -56,8 +56,9 @@ def test_config_rejects_unknown_boolean(tmp_path, capsys):
         ("r = abc", "r must be an integer, got 'abc'"),
         ("p = high", "p must be a number, got 'high'"),
         ("k_values = 20,x", "k_values must be a comma list of integers, got '20,x'"),
+        ("r 32", "expected key = value"),
     ],
-    ids=["r", "p", "k_values"],
+    ids=["r", "p", "k_values", "no-equals"],
 )
 def test_config_rejects_bad_number(tmp_path, capsys, line, message):
     path = tmp_path / "c.conf"
@@ -115,6 +116,15 @@ def test_ingest_empty_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+def test_ingest_unreadable_input(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    assert run(["ingest", "--input", tmp_path / name, "--behaviors", "purchase", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / name) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["target_not_in_behaviors", "log_without_target"])
 def test_ingest_rejects_empty_target_slice(workspace, capsys, case):
     tmp_path, cfg = workspace
@@ -140,6 +150,8 @@ def test_ingest_rejects_repeated_behavior(workspace, capsys):
     # `# behaviors` is a whitespace-separated list, so a label may not contain a space
     assert run(["ingest", "--config", cfg, "--behaviors", "purchase,add to cart"]) == 2
     assert "whitespace" in capsys.readouterr().err
+    assert run(["ingest", "--config", cfg, "--behaviors", ","]) == 2  # no label left
+    assert "error: behavior_labels must be non-empty" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tensor.txt").exists()
     # empty entries of the flag are dropped, as in the config file
     assert run(["ingest", "--config", cfg, "--behaviors", "purchase,,click,"]) == 0
@@ -177,7 +189,7 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     out = tmp_path / "out"
     log = json.loads((out / "fit_log.json").read_text())
     assert log["r"] == 6 and log["r_refined"] <= 6
-    assert log["steps"]["debias_skipped"] is False
+    assert set(log["steps"]) == {"subspace_svd_seconds", "debias_seconds", "cores_seconds"}
     for mode in ("mode1", "mode2"):
         svd = log["svd"][mode]
         assert set(svd) == {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks",
@@ -213,7 +225,7 @@ def test_fit_no_pop_skips_debias(workspace):
     assert run(["ingest", "--config", cfg]) == 0
     assert run(["fit", "--config", cfg, "--no-pop"]) == 0
     log = json.loads((tmp_path / "out" / "fit_log.json").read_text())
-    assert log["steps"]["debias_skipped"] is True
+    assert set(log["steps"]) == {"subspace_svd_seconds", "debias_seconds", "cores_seconds"}
     assert log["steps"]["debias_seconds"] is None
     assert log["debias"] is None
 
@@ -241,6 +253,19 @@ def test_recommend_known_and_unknown(workspace, capsys):
     scores = [float(l.split("\t")[2]) for l in user_lines]
     assert scores == sorted(scores, reverse=True)
     assert any(l.startswith("ERR unknown user") for l in lines)
+
+
+def test_recommend_warns_when_candidates_run_short(workspace, capsys):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    run(["fit", "--config", cfg])
+    capsys.readouterr()
+    assert run(["recommend", "--config", cfg, "--k", 1000, "u0"]) == 0
+    captured = capsys.readouterr()
+    n = len(captured.out.splitlines())
+    items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
+    assert 0 < n < items  # u0's training items are left out
+    assert f"warning: only {n} candidates for u0" in captured.err
 
 
 def test_recommend_rejects_model_of_other_data(workspace, capsys):
@@ -290,6 +315,24 @@ def test_evaluate_and_recommend_reject_model_of_other_split(workspace, capsys, o
         captured = capsys.readouterr()
         assert str(out / "model.bin") in captured.err and "seed=9" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("message", [
+    "subspace iteration did not converge: residual 1.000e-03 after 60 iterations",
+    "debias projection failed to reach orthogonality tolerance",
+], ids=["svd", "debias"])
+def test_fit_runtime_error_exits_2(workspace, monkeypatch, capsys, message):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+
+    def failing_fit(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr("popsi.cli.fit", failing_fit)
+    capsys.readouterr()
+    assert run(["fit", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):
@@ -428,11 +471,37 @@ def test_later_commands_start_from_recorded_config(workspace, capsys):
         results.append((report, capsys.readouterr().out))
     assert results[0] == results[1]
     assert json.loads(results[0][0])["config"]["seed"] == 5
+    fitted = f"{out / 'model.bin'} records split SplitSpec(ratios=(0.8, 0.1, 0.1), rng_seed=5)"
     assert run(["evaluate", "--out", out, "--seed", 4]) == 2
-    assert "differs" in capsys.readouterr().err
+    assert fitted in capsys.readouterr().err
     assert (out / "report.json").read_text() == results[0][0]
     assert run(["recommend", "--config", cfg, "u0"]) == 2  # the file's seed 9
-    assert "differs" in capsys.readouterr().err
+    assert fitted in capsys.readouterr().err
+
+
+def test_model_split_outlives_a_later_ingest(workspace, capsys):
+    """model.bin's own split record decides: a later ingest that records another seed
+    does not refuse the model's split, and other ratios are refused."""
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--out", out, "--seed", 5]) == 0
+    assert run(["evaluate", "--out", out]) == 0
+    report = (out / "report.json").read_text()
+    assert run(["ingest", "--config", cfg, "--seed", 4]) == 0  # the same tensor.txt
+    assert json.loads((out / "effective_config.json").read_text())["seed"] == 4
+    assert run(["evaluate", "--out", out, "--seed", 5]) == 0
+    assert (out / "report.json").read_text() == report
+    capsys.readouterr()
+    assert run(["evaluate", "--out", out]) == 2
+    assert "rng_seed=5)" in capsys.readouterr().err
+    ratios = tmp_path / "ratios.conf"
+    ratios.write_text("seed = 5\ntrain_ratio = 0.7\nval_ratio = 0.2\n")
+    for command in (["evaluate"], ["recommend", "u0"]):
+        assert run([*command, "--out", out, "--config", ratios]) == 2
+        captured = capsys.readouterr()
+        assert "SplitSpec(ratios=(0.7, 0.2, 0.1), rng_seed=5)" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", [["--input", "x.csv"], ["--delimiter", ";"],
@@ -463,6 +532,36 @@ def test_missing_effective_config_names_run_directory(tmp_path, capsys):
     for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
         assert run([*command, "--out", tmp_path / "nowhere"]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("stale_key", 1, "unknown key 'stale_key'"),
+        ("r", "abc", "r must be of type int, got 'abc'"),
+        ("seed", "1", "seed must be of type int, got '1'"),
+        ("seed", True, "seed must be of type int, got True"),
+        ("use_si", 1, "use_si must be of type bool, got 1"),
+        ("p", 1, "p must be of type float, got 1"),
+        ("k_values", [20, "50"], "k_values must be of type list[int], got [20, '50']"),
+        ("behaviors", "purchase", "behaviors must be of type list[str], got 'purchase'"),
+        (None, [1], "expected a JSON object of settings"),
+    ],
+    ids=["unknown", "str-int", "str-seed", "bool-int", "int-bool", "int-float", "list-element",
+         "str-list", "not-an-object"],
+)
+def test_recorded_config_is_checked(workspace, capsys, key, value, message):
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    path = tmp_path / "out" / "effective_config.json"
+    recorded = json.loads(path.read_text())
+    path.write_text(json.dumps(value if key is None else {**recorded, key: value}))
+    sweep = ["sweep", "--param", "r", "--values", "4"]
+    for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
+        capsys.readouterr()
+        assert run([*command, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 def test_cli_import_skips_scipy_stats(workspace):

@@ -170,6 +170,13 @@ def test_split_builds_positives_on_first_read():
     assert "val_positives" not in vars(hold)
 
 
+def test_split_rejects_fewer_than_three_target_entries():
+    tensor = _tensor(_lines_grid(1, 2))
+    with pytest.raises(ValueError, match="target slice needs >= 3 entries to split, got 2"):
+        split_holdout(tensor, SplitSpec())
+    assert split_holdout(tensor, SplitSpec((1.0, 0.0, 0.0))).train.target.nnz == 2
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec((0.5, 0.5, 0.5))
@@ -267,8 +274,9 @@ def tensor_file(tmp_path):
         ("0 -1 1", "outside dims"),
         ("0 0", "expected 'u v k' integers"),
         ("0 0\n0 1 1 1", "expected 'u v k' integers"),  # 6 integers, but not 2 entries
+        ("# dims 3 x 2", "expected '# dims m1 m2 n'"),
     ],
-    ids=["behavior", "row", "negative-col", "short", "short-then-long"],
+    ids=["behavior", "row", "negative-col", "short", "short-then-long", "dims"],
 )
 def test_read_triples_rejects_bad_entry(tensor_file, entry, message):
     path = tensor_file

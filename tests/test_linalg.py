@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from conftest import gapped_sparse_matrix, random_orthonormal, subspace_angle_sin
 from popsi.linalg import (
     ORTHO_TOL,
-    SvdConvergenceError,
     SvdOptions,
     _cholesky_qr2,
     _power_step,
@@ -43,7 +42,8 @@ def two_qr_svd_left(A, opts):
         if stalled >= 2:
             break
     else:
-        raise SvdConvergenceError(residual, opts.max_iters)
+        raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
+                           f"after {opts.max_iters} iterations")
     Ub, _, _ = np.linalg.svd((At @ Q).T, full_matrices=False)
     return Q @ Ub[:, :r], it
 
@@ -80,8 +80,9 @@ def orthonormality_error(Q):
         # the loop would end before the stop rule is ever read
         ({"power_iters": 70}, "max_iters 60 is below power_iters 70"),
         ({"rank": 0}, "rank must be >= 1, got 0"),
+        ({"oversample": -1}, "oversample must be >= 0"),
     ],
-    ids=["power_iters", "max_iters", "max_below_power", "rank"],
+    ids=["power_iters", "max_iters", "max_below_power", "rank", "oversample"],
 )
 def test_svd_options_reject_meaningless(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -79,6 +79,8 @@ def test_unfold_bad_mode():
     tensor = tensor_from_entries(2, 2, [[(0, 0)]])
     with pytest.raises(ValueError):
         unfold(tensor, 3)
+    with pytest.raises(ValueError, match="mode must be 1 or 2, got 3"):
+        refold(unfold(tensor, 1), 3, tensor.dims)
 
 
 @settings(deadline=None, max_examples=30)
@@ -399,6 +401,16 @@ def test_model_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+def test_model_unsupported_version(tmp_path):
+    tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 1, density=0.4)
+    path = tmp_path / "model.bin"
+    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
+    with pytest.raises(ValueError, match="unsupported model version 2"):
         load_model(path)
 
 
