@@ -46,87 +46,45 @@ class RunConfig:
     use_si: bool = True
     use_pop: bool = True
     k_values: list[int] = field(default_factory=lambda: [20, 50])
-    oversample: int = 10
-    power_iters: int = 4
     out: str = "out"
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec((self.train_ratio, self.val_ratio, self.test_ratio), self.seed)
 
     def svd_opts(self) -> SvdOptions:
-        return SvdOptions(
-            rank=self.r,
-            oversample=self.oversample,
-            power_iters=self.power_iters,
-            rng_seed=self.seed,
-        )
+        return SvdOptions(rank=self.r, rng_seed=self.seed)
 
 
-_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-# RunConfig field type -> (parser of a config value or flag, what a value must be)
-_PARSERS = {
-    "bool": (lambda v: _BOOL_VALUES[v.lower()], f"one of {', '.join(_BOOL_VALUES)}"),
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
-    "str": (str, "a string"),
-    "list[str]": (lambda v: [b.strip() for b in v.split(",") if b.strip()], "a comma list"),
-    "list[int]": (lambda v: [int(k) for k in v.split(",")], "a comma list of integers"),
-}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _convert(convert, kind: str, key: str, value: str, where: str):
+def _read_settings(path: str | Path) -> dict:
+    """A settings file (`--config` or effective_config.json): a JSON object of RunConfig
+    fields, each of exact type (a bool is not an int, list elements included)."""
     try:
-        return convert(value)
-    except (ValueError, KeyError):
-        raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
-
-
-def load_config(path: str | None) -> dict:
-    """Settings of a flat `key = value` file; unknown keys and unparsable values are rejected."""
-    settings = {}
-    if path is None:
-        return settings
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ValueError(f"{where}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{where}: unknown config key {key!r}")
-            settings[key] = _convert(*_PARSERS[_FIELD_TYPES[key]], key, value, where)
-    return settings
-
-
-def _read_recorded(path: Path) -> dict:
-    """effective_config.json's settings, each a RunConfig field of exact type (bool is not int)."""
-    try:
-        recorded = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValueError(f"run directory {path.parent} has no effective_config.json; "
-                         "run `popsi ingest` into it first") from None
-    if not isinstance(recorded, dict):
+        settings = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: expected a JSON object of settings: {e}") from None
+    if not isinstance(settings, dict):
         raise ValueError(f"{path}: expected a JSON object of settings")
-    for key, value in recorded.items():
+    for key, value in settings.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}: unknown key {key!r}")
         kind, _, element = _FIELD_TYPES[key].rstrip("]").partition("[")
         elements = value if element and isinstance(value, list) else []
         if type(value).__name__ != kind or any(type(v).__name__ != element for v in elements):
             raise ValueError(f"{path}: {key} must be of type {_FIELD_TYPES[key]}, got {value!r}")
-    return recorded
+    return settings
 
 
 def _resolve_config(command: str, settings: dict) -> RunConfig:
     """Defaults < the run's effective_config.json (every command but ingest) < settings."""
     out = Path(settings.setdefault("out", RunConfig.out))
-    recorded = {} if command == "ingest" else _read_recorded(out / "effective_config.json")
+    try:
+        recorded = {} if command == "ingest" else _read_settings(out / "effective_config.json")
+    except FileNotFoundError:
+        raise ValueError(f"run directory {out} has no effective_config.json; "
+                         "run `popsi ingest` into it first") from None
     return replace(RunConfig(), **{**recorded, **settings})
 
 
@@ -255,7 +213,10 @@ def _grid_values(param: str, text: str) -> list[float]:
     """`--values` as finite numbers; an r value must be a whole number."""
     values = []
     for token in (v.strip() for v in text.split(",")):
-        value = _convert(float, "a number", param, token, "--values")
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"--values: {param} must be a number, got {token!r}") from None
         if not math.isfinite(value) or (param == "r" and not value.is_integer()):
             kind = "a whole number" if param == "r" else "a finite number"
             raise ValueError(f"--values: {param} must be {kind}, got {token!r}")
@@ -266,7 +227,7 @@ def _grid_values(param: str, text: str) -> list[float]:
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     """Fit and validate each grid value. A p sweep estimates the subspaces once,
     because p only acts after the SVDs; an r sweep refits every point."""
-    opts = cfg.svd_opts()  # a bad SVD setting fails the command, not every grid point
+    opts = cfg.svd_opts()  # a bad rank fails the command, not every grid point
     out = Path(cfg.out)
     holdout = split_holdout(read_coordinate_triples(out / "tensor.txt"), cfg.split_spec())
     train = holdout.train
@@ -321,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input")
     sp.add_argument("--delimiter")
     sp.add_argument("--target-behavior", help="behavior moved to the front of --behaviors")
-    sp.add_argument("--behaviors", type=_PARSERS["list[str]"][0],
+    sp.add_argument("--behaviors", type=lambda v: [b.strip() for b in v.split(",") if b.strip()],
                     help="comma list, target behavior first")
     sp.add_argument("--header", dest="has_header", action="store_true",
                     help="input has a header row")
@@ -342,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     command = args["command"]
     try:
-        settings = load_config(args.get("config"))
+        settings = _read_settings(args["config"]) if "config" in args else {}
         settings.update((key, value) for key, value in args.items() if key in _FIELD_TYPES)
         cfg = _resolve_config(command, settings)
         target = args.get("target_behavior")

@@ -12,28 +12,20 @@ if TYPE_CHECKING:
 
 ORTHO_TOL = 1e-10
 RANK_REL_TOL = 1e-10
+OVERSAMPLE = 10  # columns of the iterated block beyond the rank
+POWER_ITERS = 4  # power steps before the stop rule is read
+SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as converged
+MAX_ITERS = 60  # power steps at most
 
 
 @dataclass(frozen=True)
 class SvdOptions:
     rank: int
-    oversample: int = 10
-    power_iters: int = 4
     rng_seed: int = 0
-    tol: float = 1e-10
-    max_iters: int = 60
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.oversample < 0:
-            raise ValueError("oversample must be >= 0")
-        if self.power_iters < 0:
-            raise ValueError(f"power_iters must be >= 0, got {self.power_iters}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_iters < self.power_iters:
-            raise ValueError(f"max_iters {self.max_iters} is below power_iters {self.power_iters}")
 
 
 def _cholesky_qr2(
@@ -68,12 +60,12 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
 
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
     each power step applies A A^T and orthonormalizes only the short m x ell
-    block. Steps continue past `power_iters` until the projector stops moving
-    (opts.tol) or `max_iters` is hit. Every QR is CholeskyQR2, with
+    block. Steps continue past POWER_ITERS until the projector stops moving
+    (SVD_TOL) or MAX_ITERS is hit. Every QR is CholeskyQR2, with
     Householder QR for blocks too ill-conditioned for it. Deterministic for a
     fixed seed. When `log` is given it is filled with the iteration count, the
     stop reason, the final residual, the gap sigma_r / sigma_{r+1} (None when
-    ell = r or sigma_{r+1} = 0) and the number of Householder fallbacks.
+    r = min(dims) or sigma_{r+1} = 0) and the number of Householder fallbacks.
     """
     return _rayleigh_ritz(*_subspace_iteration(A, opts), opts.rank, log)
 
@@ -107,7 +99,7 @@ def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
         raise ValueError("matrix has no entries")
 
     rng = np.random.default_rng(opts.rng_seed)
-    ell = min(r + opts.oversample, min(m, n))
+    ell = min(r + OVERSAMPLE, min(m, n))
     A = A.tocsr()
     At = A.T.tocsr()
     report = {"qr_fallbacks": 0}  # blocks that took Householder QR
@@ -115,19 +107,19 @@ def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
     Q, _ = _qr(A @ rng.standard_normal((n, ell)), report)
     residual = np.inf
     stalled = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         Q_new, _ = _qr(_power_step(A, At, Q), report)
         prev = residual
         # projector movement of the leading r columns between iterations; first
-        # read (as prev) at step power_iters
-        if it >= opts.power_iters - 1:
+        # read (as prev) at step POWER_ITERS
+        if it >= POWER_ITERS - 1:
             lead = Q_new[:, :r]
             moved = Q[:, :r] @ (Q[:, :r].T @ lead)
             residual = np.linalg.norm(np.subtract(lead, moved, out=moved))
         Q = Q_new
-        if it < opts.power_iters:
+        if it < POWER_ITERS:
             continue
-        if residual <= opts.tol:
+        if residual <= SVD_TOL:
             stop = "converged"
             break
         # decay slower than 2x per step means the spectrum has no usable gap
@@ -138,7 +130,7 @@ def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
             break
     else:
         raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
-                           f"after {opts.max_iters} iterations")
+                           f"after {MAX_ITERS} iterations")
     report.update(iterations=it, stop=stop, residual=float(residual))
     return Q, At, report
 

@@ -38,7 +38,7 @@ class PopularityFeatures:
 class FeatureSpaces:
     W: np.ndarray  # m1 x r, orthonormal columns
     H: np.ndarray  # m2 x r' (r' <= r after refinement)
-    r: int
+    r = property(lambda self: self.W.shape[1])  # the rank, W's width; not a field
 
 
 @dataclass
@@ -127,7 +127,7 @@ def estimate_subspaces(
     t = time.perf_counter()
     H = _rayleigh_ritz(Q, At, report, r, log.setdefault("mode2", {}))
     log["mode2"]["seconds"] = seconds + time.perf_counter() - t
-    return FeatureSpaces(W, H, r)
+    return FeatureSpaces(W, H)
 
 
 def debias_item_space(
@@ -150,7 +150,7 @@ def debias_item_space(
         raise RuntimeError("debias projection failed to reach orthogonality tolerance")
     if log is not None:
         log.update(rounds=rounds, max_abs_pth=max_abs_pth)
-    return FeatureSpaces(spaces.W, H, spaces.r)
+    return FeatureSpaces(spaces.W, H)
 
 
 def fit(
@@ -175,6 +175,8 @@ def fit(
     """
     tensor = tensor.with_side_info(use_si)
     debias_log = {} if use_pop else None
+    # built before the SVDs, so that a bad p fails before them
+    features = build_popularity_features(item_popularity(tensor), p) if use_pop else None
     t0 = time.perf_counter()
     if spaces is None:
         svd_log = None if log is None else log.setdefault("svd", {})
@@ -185,7 +187,6 @@ def fit(
                          f"{tensor.m1} x {tensor.m2} tensor")
     t1 = time.perf_counter()
     if use_pop:
-        features = build_popularity_features(item_popularity(tensor), p)
         spaces = debias_item_space(spaces, features.P, debias_log)
     t2 = time.perf_counter()
     cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
@@ -324,6 +325,6 @@ def load_model(path) -> PreferenceModel:
         cores = [read_array(tuple(s)) for s in meta["core_shapes"]]
         if f.read(1):
             raise ValueError(f"model file {path} has trailing bytes after its arrays")
-    spaces = FeatureSpaces(W, H, meta["r"])
+    spaces = FeatureSpaces(W, H)
     return PreferenceModel(spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"],
                            meta["use_pop"], meta.get("trained_on"))

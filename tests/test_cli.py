@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tensor_to_log_lines
-from popsi.cli import RunConfig, load_config, main
+from popsi.cli import RunConfig, _read_settings, main
 from popsi.synth import SynthConfig, generate
 
 
@@ -17,17 +17,18 @@ def workspace(tmp_path):
     tensor = generate(SynthConfig(m1=60, m2=40, densities=(0.06, 0.1), seed=3))
     log = tmp_path / "interactions.csv"
     log.write_text("\n".join(tensor_to_log_lines(tensor, ["purchase", "click"])) + "\n")
-    cfg = tmp_path / "run.conf"
-    cfg.write_text(
-        f"input = {log}\n"
-        "behaviors = purchase,click\n"
-        "r = 6\n"
-        "p = 0.2\n"
-        "seed = 9\n"
-        "k_values = 5,10\n"
-        f"out = {tmp_path / 'out'}\n"
-    )
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": str(log), "behaviors": ["purchase", "click"], "r": 6,
+                               "p": 0.2, "seed": 9, "k_values": [5, 10],
+                               "out": str(tmp_path / "out")}))
     return tmp_path, cfg
+
+
+def with_settings(cfg: Path, name: str, **settings) -> Path:
+    """A copy of the JSON settings file `cfg` with `settings` added or replaced."""
+    path = cfg.parent / name
+    path.write_text(json.dumps({**json.loads(cfg.read_text()), **settings}))
+    return path
 
 
 def run(args):
@@ -35,58 +36,60 @@ def run(args):
 
 
 def test_config_parsing(tmp_path):
-    path = tmp_path / "c.conf"
-    path.write_text("r = 32\np = 0.3\nuse_pop = false\nbehaviors = buy, view\n# comment\n")
-    settings = load_config(path)
+    path = tmp_path / "c.json"
+    path.write_text('{"r": 32, "p": 0.3, "use_pop": false, "behaviors": ["buy", "view"]}')
+    settings = _read_settings(path)
     assert settings == {"r": 32, "p": 0.3, "use_pop": False, "behaviors": ["buy", "view"]}
 
 
 def test_config_rejects_unknown_boolean(tmp_path, capsys):
-    path = tmp_path / "c.conf"
-    path.write_text("r = 32\nuse_pop = ture\n")
-    with pytest.raises(ValueError, match=f"{path}:2"):
-        load_config(path)
+    path = tmp_path / "c.json"
+    path.write_text('{"r": 32, "use_pop": "ture"}')
+    message = f"{path}: use_pop must be of type bool, got 'ture'"
+    with pytest.raises(ValueError, match=message):
+        _read_settings(path)
     assert run(["fit", "--config", path]) == 2
-    assert f"{path}:2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "entry, message",
     [
-        ("r = abc", "r must be an integer, got 'abc'"),
-        ("p = high", "p must be a number, got 'high'"),
-        ("k_values = 20,x", "k_values must be a comma list of integers, got '20,x'"),
-        ("r 32", "expected key = value"),
+        ('"r": "abc"', "r must be of type int, got 'abc'"),
+        ('"p": "high"', "p must be of type float, got 'high'"),
+        ('"k_values": [20, "x"]', "k_values must be of type list[int], got [20, 'x']"),
+        ('"r" 32', "expected a JSON object of settings: "
+                   "Expecting ':' delimiter: line 1 column 17 (char 16)"),
     ],
     ids=["r", "p", "k_values", "no-equals"],
 )
-def test_config_rejects_bad_number(tmp_path, capsys, line, message):
-    path = tmp_path / "c.conf"
-    path.write_text(f"seed = 1\n{line}\n")
+def test_config_rejects_bad_number(tmp_path, capsys, entry, message):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"seed": 1, {entry}}}')
     with pytest.raises(ValueError) as err:
-        load_config(path)
-    assert str(err.value) == f"{path}:2: {message}"
+        _read_settings(path)
+    assert str(err.value) == f"{path}: {message}"
     assert run(["fit", "--config", path]) == 2
-    assert f"{path}:2: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_fit_rejects_negative_power_iters(workspace, capsys):
+    """The SVD's iteration counts are constants: a power_iters key is an unknown key."""
     tmp_path, cfg = workspace
     assert run(["ingest", "--config", cfg]) == 0
-    bad = tmp_path / "bad.conf"
-    bad.write_text(Path(cfg).read_text() + "power_iters = -5\n")
+    bad = with_settings(cfg, "bad.json", power_iters=-5)
     assert run(["fit", "--config", bad]) == 2
-    assert "power_iters must be >= 0, got -5" in capsys.readouterr().err
+    assert f"{bad}: unknown key 'power_iters'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.bin").exists()
     assert run(["sweep", "--config", bad, "--param", "p", "--values", "0.1"]) == 2
-    assert "power_iters must be >= 0, got -5" in capsys.readouterr().err
+    assert f"{bad}: unknown key 'power_iters'" in capsys.readouterr().err
 
 
 def test_config_unknown_key(tmp_path):
-    path = tmp_path / "c.conf"
-    path.write_text("nonsense = 1\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+    path = tmp_path / "c.json"
+    path.write_text('{"nonsense": 1}')
+    with pytest.raises(ValueError, match=f"{path}: unknown key 'nonsense'"):
+        _read_settings(path)
 
 
 def test_ingest_outputs(workspace, capsys):
@@ -103,7 +106,7 @@ def test_ingest_outputs(workspace, capsys):
     effective = json.loads((out / "effective_config.json").read_text())
     from dataclasses import asdict, replace
 
-    assert effective == asdict(replace(RunConfig(), **load_config(cfg)))
+    assert effective == asdict(replace(RunConfig(), **_read_settings(cfg)))
 
 
 def test_ingest_empty_file(tmp_path, capsys):
@@ -166,8 +169,7 @@ def test_ingest_rejects_empty_delimiter(workspace, capsys, source):
     if source == "flag":
         args = ["ingest", "--config", cfg, "--delimiter", ""]
     else:
-        (tmp_path / "empty.conf").write_text(Path(cfg).read_text() + "delimiter =\n")
-        args = ["ingest", "--config", tmp_path / "empty.conf"]
+        args = ["ingest", "--config", with_settings(cfg, "empty.json", delimiter="")]
     assert run(args) == 2
     assert "error: delimiter must be a non-empty string" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tensor.txt").exists()
@@ -495,8 +497,8 @@ def test_model_split_outlives_a_later_ingest(workspace, capsys):
     capsys.readouterr()
     assert run(["evaluate", "--out", out]) == 2
     assert "rng_seed=5)" in capsys.readouterr().err
-    ratios = tmp_path / "ratios.conf"
-    ratios.write_text("seed = 5\ntrain_ratio = 0.7\nval_ratio = 0.2\n")
+    ratios = tmp_path / "ratios.json"
+    ratios.write_text('{"seed": 5, "train_ratio": 0.7, "val_ratio": 0.2}')
     for command in (["evaluate"], ["recommend", "u0"]):
         assert run([*command, "--out", out, "--config", ratios]) == 2
         captured = capsys.readouterr()
@@ -519,8 +521,7 @@ def test_ingest_only_flags_rejected_elsewhere(workspace, capsys, flag):
 def test_fit_records_the_tensor_behaviors(workspace):
     tmp_path, cfg = workspace
     assert run(["ingest", "--config", cfg]) == 0
-    swapped = tmp_path / "swapped.conf"
-    swapped.write_text(cfg.read_text() + "behaviors = click,purchase\n")
+    swapped = with_settings(cfg, "swapped.json", behaviors=["click", "purchase"])
     assert run(["fit", "--config", swapped]) == 0
     recorded = json.loads((tmp_path / "out" / "effective_config.json").read_text())
     assert recorded["behaviors"] == ["purchase", "click"]  # tensor.txt's `# behaviors`
@@ -546,22 +547,52 @@ def test_missing_effective_config_names_run_directory(tmp_path, capsys):
         ("k_values", [20, "50"], "k_values must be of type list[int], got [20, '50']"),
         ("behaviors", "purchase", "behaviors must be of type list[str], got 'purchase'"),
         (None, [1], "expected a JSON object of settings"),
+        (None, '{"r": 5', "expected a JSON object of settings: "
+                          "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+        (None, "r = 6\n", "expected a JSON object of settings: "
+                          "Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["unknown", "str-int", "str-seed", "bool-int", "int-bool", "int-float", "list-element",
-         "str-list", "not-an-object"],
+         "str-list", "not-an-object", "corrupt", "key-value"],
 )
 def test_recorded_config_is_checked(workspace, capsys, key, value, message):
+    """Each bad settings file exits 2 with its path, as the run's effective_config.json
+    and as a --config file; a string `value` is the whole file's text."""
     tmp_path, cfg = workspace
+    out = tmp_path / "out"
     assert run(["ingest", "--config", cfg]) == 0
-    path = tmp_path / "out" / "effective_config.json"
-    recorded = json.loads(path.read_text())
-    path.write_text(json.dumps(value if key is None else {**recorded, key: value}))
+    recorded = out / "effective_config.json"
+    good = recorded.read_text()
+    text = value if isinstance(value, str) and key is None else json.dumps(
+        value if key is None else {**json.loads(good), key: value})
     sweep = ["sweep", "--param", "r", "--values", "4"]
-    for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
-        capsys.readouterr()
-        assert run([*command, "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-    assert not (tmp_path / "out" / "model.bin").exists()
+    for path in (recorded, tmp_path / "settings.json"):
+        path.write_text(text)
+        given = [] if path == recorded else ["--config", path]
+        commands = [["fit"], ["evaluate"], ["recommend", "u0"], sweep]
+        if given:  # ingest reads no recorded settings, only a --config file
+            commands.append(["ingest"])
+        for command in commands:
+            capsys.readouterr()
+            assert run([*command, "--out", out, *given]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        recorded.write_text(good)
+    assert not (out / "model.bin").exists()
+
+
+def test_effective_config_is_a_config_file(workspace):
+    """A run's effective_config.json, given as --config, repeats the run."""
+    tmp_path, cfg = workspace
+    out, again = tmp_path / "out", tmp_path / "again"
+    for command in (["ingest"], ["fit"], ["evaluate"]):
+        assert run([*command, "--config", cfg]) == 0
+    settings = out / "effective_config.json"
+    for command in (["ingest"], ["fit"], ["evaluate"]):
+        assert run([*command, "--config", settings, "--out", again]) == 0
+    assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+    assert (again / "model.bin").read_bytes() == (out / "model.bin").read_bytes()
+    recorded = json.loads((again / "effective_config.json").read_text())
+    assert recorded == {**json.loads(settings.read_text()), "out": str(again)}
 
 
 def test_cli_import_skips_scipy_stats(workspace):

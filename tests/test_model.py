@@ -213,7 +213,7 @@ def test_debias_removes_popularity_direction():
     rest -= pop_col @ (pop_col.T @ rest)
     H = np.hstack([pop_col, np.linalg.qr(rest)[0]])
     W = random_orthonormal(rng, 15, r)
-    refined = debias_item_space(FeatureSpaces(W, H, r), feats.P)
+    refined = debias_item_space(FeatureSpaces(W, H), feats.P)
     assert refined.H.shape[1] == r - 1
     assert np.max(np.abs(feats.P.T @ refined.H)) <= ORTHO_TOL
 
@@ -227,7 +227,7 @@ def test_debias_fixed_point_projector():
     from popsi.linalg import orthonormalize, project_out
 
     H0 = orthonormalize(project_out(H0, feats.P))
-    spaces = FeatureSpaces(random_orthonormal(rng, 10, r), H0, r)
+    spaces = FeatureSpaces(random_orthonormal(rng, 10, r), H0)
     refined = debias_item_space(spaces, feats.P)
     assert np.max(np.abs(refined.H @ refined.H.T - H0 @ H0.T)) <= 1e-10
 
@@ -445,3 +445,15 @@ def test_fit_rejects_spaces_of_other_shape():
         other = random_binary_tensor(np.random.default_rng(6), m1, m2, 2, density=0.4)
         with pytest.raises(ValueError, match=f"{m1} x {m2} tensor"):
             fit(other, r=3, spaces=spaces)
+
+
+def test_fit_rejects_bad_p_before_the_svds(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("estimate_subspaces ran before p was checked")
+
+    monkeypatch.setattr("popsi.model.estimate_subspaces", no_svd)
+    tensor = random_binary_tensor(np.random.default_rng(5), 12, 9, 2, density=0.4)
+    with pytest.raises(ValueError, match="popular fraction p must lie in"):
+        fit(tensor, r=3, p=1.5)
+    with pytest.raises(AssertionError):  # without the debias step p is never read
+        fit(tensor, r=3, p=1.5, use_pop=False)
