@@ -19,6 +19,7 @@ import numpy as np
 from popsi.data import (
     SplitSpec,
     build_tensor,
+    item_popularity,
     parse_interactions,
     read_coordinate_triples,
     read_index,
@@ -28,7 +29,8 @@ from popsi.data import (
 )
 from popsi.linalg import SvdOptions
 from popsi.metrics import evaluate
-from popsi.model import estimate_subspaces, fit, load_model, rank_items, save_model, score_user
+from popsi.model import (build_popularity_features, estimate_subspaces, fit, load_model,
+                         rank_items, save_model, score_user)
 
 
 @dataclass
@@ -95,9 +97,8 @@ def _write_json(path: Path, obj) -> str:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    with open(cfg.input) as f:  # an unreadable input is main's OSError
-        log = parse_interactions(f, cfg.behaviors, delimiter=cfg.delimiter,
-                                 has_header=cfg.has_header)
+    text = Path(cfg.input).read_text()  # in text mode; an unreadable input is main's OSError
+    log = parse_interactions(text, cfg.behaviors, cfg.delimiter, cfg.has_header)
     tensor = build_tensor(log, cfg.behaviors)
     counts = np.bincount(tensor.entries[:, 2], minlength=tensor.n).tolist()
     if not counts[0]:
@@ -239,6 +240,8 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
         p = float(value) if param == "p" else cfg.p
         try:
             if spaces is None or param == "r":
+                if cfg.use_pop:  # fit's check of p, made before the SVD pair it would waste
+                    build_popularity_features(item_popularity(train), p)
                 spaces = estimate_subspaces(train.with_side_info(cfg.use_si), r, opts)
             model = fit(train, r, p, cfg.use_si, cfg.use_pop, opts, spaces=spaces)
             # sweeps tune on the validation split

@@ -6,6 +6,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -165,30 +166,32 @@ class ParsedLog:
 
 
 def parse_interactions(
-    lines: Iterable[str],
+    lines: str | Iterable[str],
     behavior_labels: Sequence[str],
     delimiter: str = ",",
     has_header: bool = False,
 ) -> ParsedLog:
-    """Parse `user,item,behavior[,timestamp]` lines in one pass.
+    """Parse `user,item,behavior[,timestamp]` lines in one pass. A text is cut into lines at
+    "\n" only, as a file in text mode is, and read by `_parse_regular` when it is regular.
 
     Users and items get dense indices in order of first appearance among the
     kept lines; blank lines are ignored. A line with fewer than three fields,
     an empty user or item, or a timestamp that is present but not an integer
     is malformed; a line whose behavior is not in `behavior_labels` is
-    unknown. Both kinds are skipped and counted.
+    unknown. Both kinds are skipped and counted. The loop here is the reference.
     """
     if not delimiter:
         raise ValueError("delimiter must be a non-empty string")
+    if isinstance(lines, str):
+        text = lines.partition("\n")[2] if has_header else lines
+        return (_parse_regular(text, behavior_labels, delimiter)
+                or parse_interactions(text.split("\n"), behavior_labels, delimiter))
     label_pos = {b: k for k, b in enumerate(behavior_labels)}
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     columns = array("q")
     malformed = unknown = 0
-    for raw in lines:
-        if has_header:
-            has_header = False
-            continue
+    for raw in islice(lines, int(has_header), None):
         line = raw.rstrip("\n\r")
         if not line.strip():
             continue
@@ -210,6 +213,38 @@ def parse_interactions(
         columns.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), k))
     entries = np.frombuffer(columns, dtype=np.int64).reshape(-1, 3)
     return ParsedLog(entries, list(users), list(items), malformed, unknown)
+
+
+def _parse_regular(text: str, behavior_labels: Sequence[str], delimiter: str) -> ParsedLog | None:
+    """The log of an ASCII text whose every line is a non-empty user and item, a known behavior
+    and an empty or all-digit timestamp, with no byte up to " " but "\n" and the delimiter."""
+    if len(delimiter) != 1 or delimiter == "\n" or not text.isascii() or len(text) >= 2**30:
+        return None
+    raw = (text if text.endswith("\n") else text + "\n").encode() + bytes(8)
+    b, sep = np.frombuffer(raw, np.uint8)[:-8], ord(delimiter)
+    cuts = np.flatnonzero((b <= 32) | (b == sep)).astype(np.int32)  # field ends, or a stray
+    if len(cuts) % 4 or not (b[cuts].reshape(-1, 4) == [sep, sep, sep, 10]).all():
+        return None
+    lens = (np.diff(cuts, prepend=-1) - 1).astype(np.int32).reshape(-1, 4)
+    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes at each offset
+    starts, widths = cuts.reshape(-1, 4) - lens, np.maximum(8, lens.max(0) + 7) // 8 * 8
+    users, items, behaviors, stamps = [  # each field's bytes, zero-padded to a multiple of 8
+        words[np.minimum(s[:, None] + np.arange(0, w, 8), len(words) - 1)].view(np.uint8)
+        * (np.arange(w) < n[:, None]) for s, n, w in zip(starts.T, lens.T, widths)]
+    del raw, b, words, cuts, starts  # the bytes of the text, freed before the checks and sorts
+    kinds, behaviors = np.full(len(lens), -1), behaviors.view(f"S{behaviors.shape[1]}").ravel()
+    for k, label in enumerate(map(str.encode, behavior_labels)):
+        kinds[(behaviors == label) & (lens[:, 2] == len(label))] = k
+    if not lens[:, :2].all() or (kinds < 0).any() or ((stamps - 48 > 9) & (stamps > 0)).any():
+        return None
+    ids, tokens = [], []
+    for rows in (users, items):  # the zero padding is unambiguous: no token holds a zero byte
+        keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"S{rows.shape[1]}").ravel()
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # numbered by first appearance
+        ids.append(np.argsort(order)[inverse])
+        tokens.append([t.decode() for t in uniq[order].view(f"S{rows.shape[1]}").tolist()])
+    return ParsedLog(np.column_stack([*ids, kinds]), *tokens, 0, 0)
 
 
 def build_tensor(log: ParsedLog, behavior_labels: Sequence[str]) -> InteractionTensor:

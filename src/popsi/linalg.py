@@ -174,10 +174,7 @@ def orthonormalize(H: np.ndarray) -> np.ndarray:
     if H.ndim != 2 or H.shape[1] < 1:
         raise ValueError("H must have at least one column")
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        raise ValueError("cannot orthonormalize an all-zero matrix")
-    keep = s > RANK_REL_TOL * s[0]
-    if not np.any(keep):
-        raise ValueError("cannot orthonormalize an all-zero matrix")
-    return np.ascontiguousarray(U[:, keep])
+    if s.size == 0 or not s[0] > 0:  # s is NaN when H holds an inf or a NaN
+        raise ValueError("cannot orthonormalize an all-zero or non-finite matrix")
+    return np.ascontiguousarray(U[:, s > RANK_REL_TOL * s[0]])
 

@@ -109,6 +109,31 @@ def test_ingest_outputs(workspace, capsys):
     assert effective == asdict(replace(RunConfig(), **_read_settings(cfg)))
 
 
+def test_ingest_reads_a_regular_log_on_the_fast_path(workspace, monkeypatch):
+    """A regular log skips the line loop; CRLF line ends, a header and spaces around the
+    fields send the same log through it, and the run comes out byte-identical."""
+    import popsi.data
+
+    tmp_path, cfg = workspace
+    parse_regular, parsed = popsi.data._parse_regular, []
+
+    def recorded(*args):
+        parsed.append(parse_regular(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr("popsi.data._parse_regular", recorded)
+    assert run(["ingest", "--config", cfg]) == 0
+    lines = Path(_read_settings(cfg)["input"]).read_text().splitlines()
+    messy = tmp_path / "messy.csv"
+    messy.write_bytes("".join(f"{' , '.join(line.split(','))}\r\n"
+                              for line in ["user,item,behavior,time", *lines]).encode())
+    assert run(["ingest", "--config", cfg, "--input", messy, "--header",
+                "--out", tmp_path / "messy"]) == 0
+    assert [log is not None for log in parsed] == [True, False]
+    for name in ("tensor.txt", "users.txt", "items.txt", "stats.json"):
+        assert (tmp_path / "messy" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
 def test_ingest_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -399,6 +424,21 @@ def test_p_sweep_matches_per_point_fits(workspace, monkeypatch, flags):
         report = evaluate(partial(score_user, model), holdout.val_positives, holdout.train, [50])
         expected.append(f"p,{p:g},{report.ndcg[50]:.6f},{report.pri:.6f}")
     assert (tmp_path / "out" / "sweep.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("values, estimates, blank", [("1.5,2", 0, ["1.5", "2"]),
+                                                      ("0.1,1.5,0.3", 1, ["1.5"])],
+                         ids=["every-p-bad", "one-p-bad"])
+def test_p_sweep_checks_p_before_the_svds(workspace, monkeypatch, capsys, values, estimates,
+                                          blank):
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    calls = _count_subspace_estimates(monkeypatch)
+    assert run(["sweep", "--config", cfg, "--param", "p", "--values", values]) == 1
+    assert len(calls) == estimates
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows if row.endswith(",,")] == blank
+    assert "popular fraction p must lie in (0,1), got 1.5" in capsys.readouterr().err
 
 
 def test_r_sweep_refits_every_point(workspace, monkeypatch):

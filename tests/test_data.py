@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from popsi.data import (
     SplitSpec,
+    _parse_regular,
     build_tensor,
     item_popularity,
     parse_interactions,
@@ -136,6 +138,125 @@ def test_parse_and_build_match_reference(lines):
         coo = s.tocoo()
         assert set(zip(coo.row.tolist(), coo.col.tolist())) == expected
         assert s.nnz == len(expected) and np.all(s.data == 1.0)
+
+
+# --- the numpy fast path against the line loop ---
+
+
+def _loop(text, labels=LABELS, **kwargs):
+    """The line loop over `text` read as a text-mode file is read: lines end at "\n" only."""
+    return parse_interactions(io.StringIO(text, newline="\n"), labels, **kwargs)
+
+
+def _assert_same_log(got, expected):
+    assert got.entries.dtype == expected.entries.dtype == np.int64
+    assert got.entries.shape == expected.entries.shape
+    assert got.entries.tolist() == expected.entries.tolist()
+    assert (got.user_tokens, got.item_tokens) == (expected.user_tokens, expected.item_tokens)
+    assert (got.malformed, got.unknown_behavior) == (expected.malformed, expected.unknown_behavior)
+
+
+_REGULAR = "u1,i1,purchase,100\nu2,i1,click,7\nu1,i2,click,42\n"
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, regular",
+    [
+        (_REGULAR, {}, True),
+        ("u1 ,i1,purchase,1\nu2, i2 ,click,2\n", {}, False),
+        (_REGULAR.replace("\n", "\r\n"), {}, False),
+        ("u\x0b1,i1,purchase,1\nu2,i1,click,2\n", {}, False),
+        ("u\x1c1,i1,purchase,1\nu2,i1,click,2\n", {}, False),
+        ("u\x851,i1,purchase,1\nu2,i1,click,2\n", {}, False),
+        ("u1,i\xa01,purchase,1\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,1\n\nu2,i1,click,2\n", {}, False),
+        ("user,item,behavior,time\n" + _REGULAR, {"has_header": True}, True),
+        ("u1,i1,purchase\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,1,x\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,\nu2,i1,click,2\n", {}, True),
+        ("u1,i1,purchase,+5\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,1_0\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,\xb2\nu2,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,\u0663\nu2,i1,click,2\n", {}, False),
+        (_REGULAR.rstrip("\n"), {}, True),
+        (_REGULAR.replace(",", "\t"), {"delimiter": "\t"}, True),
+        (_REGULAR.replace(",", "::"), {"delimiter": "::"}, False),
+        ("u1,i1,purchase,1\nu2,i1,swipe,2\n", {}, False),
+        ("u1,i1,purchase,1\n,i1,click,2\n", {}, False),
+        ("u1,i1,purchase,1\nu2,,click,2\n", {}, False),
+        ("u1\ni1\npurchase\n1\n", {"delimiter": "\n"}, False),
+    ],
+    ids=["regular", "spaces", "crlf", "vt", "fs", "nel", "nbsp", "blank-line", "header",
+         "three-fields", "five-fields", "empty-timestamp", "plus-timestamp",
+         "underscore-timestamp", "superscript-timestamp", "arabic-indic-timestamp",
+         "no-final-newline", "tab", "two-char-delimiter", "unknown-behavior", "empty-user",
+         "empty-item", "newline-delimiter"],
+)
+def test_parse_text_matches_the_loop(text, kwargs, regular):
+    expected = _loop(text, **kwargs)
+    _assert_same_log(parse_interactions(text, LABELS, **kwargs), expected)
+    body = text.partition("\n")[2] if kwargs.get("has_header") else text
+    fast = _parse_regular(body, LABELS, kwargs.get("delimiter", ","))
+    assert (fast is not None) == regular
+    if regular:
+        _assert_same_log(fast, expected)
+
+
+def test_fast_path_matches_whole_labels():
+    # numpy compares byte strings up to trailing zero bytes; the loop compares whole labels
+    labels = ["purchase\x00", "click"]
+    text = "u1,i1,purchase,1\nu2,i1,click,2\n"
+    assert _parse_regular(text, labels, ",") is None
+    _assert_same_log(parse_interactions(text, labels), _loop(text, labels))
+
+
+_HAZARDS = ",\t \r\n\x00\x0b\x1c\x85\xa0\xb2\u0663+-_0123456789uvi"
+_TOKEN = st.text(alphabet="uvi0123456789+-_", min_size=1, max_size=12)
+_ROW = st.tuples(_TOKEN, _TOKEN, st.sampled_from(LABELS),
+                 st.text(alphabet="0123456789", max_size=12)).map(list)
+
+
+@st.composite
+def _row_with_a_hazard(draw):
+    """A regular row with hazard characters inserted into one of its fields."""
+    fields = draw(_ROW)
+    f = draw(st.integers(0, 3))
+    at = draw(st.integers(0, len(fields[f])))
+    hazard = draw(st.text(alphabet=_HAZARDS, min_size=1, max_size=2))
+    fields[f] = fields[f][:at] + hazard + fields[f][at:]
+    return fields
+
+
+_HAZARD_LINE = st.one_of(
+    _ROW, _ROW, _ROW, _row_with_a_hazard(),
+    st.lists(st.one_of(st.sampled_from(LABELS + ["swipe", ""]),
+                       st.text(alphabet=_HAZARDS, max_size=10)), max_size=5),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(lines=st.lists(_HAZARD_LINE, max_size=12), delimiter=st.sampled_from([",", "\t"]),
+       ends=st.sampled_from(["\n", "\r\n", ""]))
+def test_fast_path_declines_or_matches_the_loop(lines, delimiter, ends):
+    text = "\n".join(delimiter.join(fields) for fields in lines) + ends
+    expected = _loop(text, delimiter=delimiter)
+    fast = _parse_regular(text, LABELS, delimiter)
+    if fast is not None:
+        _assert_same_log(fast, expected)
+    _assert_same_log(parse_interactions(text, LABELS, delimiter=delimiter), expected)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(_ROW, min_size=1, max_size=30),
+    delimiter=st.sampled_from([",", "\t"]),
+    final_newline=st.booleans(),
+)
+def test_fast_path_accepts_every_regular_log(rows, delimiter, final_newline):
+    text = "\n".join(delimiter.join(row) for row in rows) + ("\n" if final_newline else "")
+    fast = _parse_regular(text, LABELS, delimiter)
+    assert fast is not None
+    _assert_same_log(fast, _loop(text, delimiter=delimiter))
 
 
 def test_split_counts_floor_rule():

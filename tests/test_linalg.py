@@ -319,8 +319,16 @@ def test_orthonormalize_preserves_span():
 
 
 def test_orthonormalize_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all-zero or non-finite matrix"):
         orthonormalize(np.zeros((4, 2)))
+
+
+def test_orthonormalize_rejects_non_finite():
+    # the SVD of a matrix holding an inf has NaN singular values
+    H = np.ones((4, 2))
+    H[0, 0] = np.inf
+    with pytest.raises(ValueError, match="all-zero or non-finite matrix"):
+        orthonormalize(H)
 
 
 def test_projector_self_adjoint_probe():
