@@ -306,66 +306,34 @@ def write_coordinate_triples(tensor: InteractionTensor, path) -> None:
 
 
 def read_coordinate_triples(path) -> InteractionTensor:
-    """Read the format `write_coordinate_triples` writes; an entry outside the
-    `# dims` box, an entry before that header or a `# behaviors` line with other
-    than n labels is an error naming `path:line`.
-
-    A file in the writer's layout (the two header lines, then `u v k` integer
-    lines) is converted in one call; any other file, and any file that fails
-    a check, is read again line by line, which names the first bad line.
-    """
+    """Read the layout `write_coordinate_triples` writes, in which blank lines skip;
+    any other file is a ValueError naming `path`."""
     with open(path) as f:
+        dims_line, labels_line = f.readline().strip(), f.readline().strip()
+        dims, labels = dims_line.split(), labels_line.split()
         try:
-            dims, labels, _ = _scan_triples(path, [f.readline(), f.readline()])
-            with warnings.catch_warnings():  # an empty body warns, then takes the slow path
+            m1, m2, n = map(int, dims[2:] if dims[:2] == ["#", "dims"] else ())
+        except ValueError:
+            raise ValueError(f"{path}:1: expected '# dims m1 m2 n', got {dims_line!r}") from None
+        if labels[:2] != ["#", "behaviors"]:
+            raise ValueError(f"{path}:2: expected '# behaviors' line, got {labels_line!r}")
+        if len(labels) - 2 != n:
+            raise ValueError(f"{path}:2: {len(labels) - 2} behavior labels "
+                             f"for {n} behaviors in '# dims'")
+        try:
+            with warnings.catch_warnings():  # an empty body warns
                 warnings.simplefilter("ignore", UserWarning)
                 entries = np.loadtxt(f, dtype=np.int64, comments=None, ndmin=2)
-            ok = entries.shape[1] == 3 and bool(((entries >= 0) & (entries < dims)).all())
-        except ValueError:
-            ok = False
-        if not ok:
-            f.seek(0)
-            dims, labels, entries = _scan_triples(path, f)
-    return InteractionTensor.from_entries(*dims[:2], _sorted_unique(entries, dims), labels)
-
-
-def _scan_triples(path, lines: Iterable[str]):
-    """Dims, labels and N x 3 entries of coordinate-triple lines, checked line by line."""
-    m1 = m2 = n = None
-    labels: list[str] = []
-    labels_line = 0
-    entries: list[tuple[int, int, int]] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# dims"):
-            try:
-                _, _, a, b, c = line.split()
-                m1, m2, n = int(a), int(b), int(c)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected '# dims m1 m2 n', "
-                                 f"got {line!r}") from None
-        elif line.startswith("# behaviors"):
-            labels, labels_line = line.split()[2:], lineno
-        elif not line.startswith("#"):
-            if m1 is None:
-                raise ValueError(f"{path}:{lineno}: entry before the '# dims' header")
-            try:
-                u, v, k = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'u v k' integers, "
-                                 f"got {line!r}") from None
-            if not (0 <= u < m1 and 0 <= v < m2 and 0 <= k < n):
-                raise ValueError(f"{path}:{lineno}: entry {line!r} outside "
-                                 f"dims {m1} {m2} {n}")
-            entries.append((u, v, k))
-    if m1 is None or not labels:
-        raise ValueError(f"missing dims/behaviors header in {path}")
-    if len(labels) != n:
-        raise ValueError(f"{path}:{labels_line}: {len(labels)} behavior labels "
-                         f"for {n} behaviors in '# dims'")
-    return (m1, m2, n), labels, np.array(entries, dtype=np.int64).reshape(-1, 3)
+            if entries.size and entries.shape[1] != 3:
+                raise ValueError(f"{entries.shape[1]} fields per line")
+        except ValueError as e:
+            raise ValueError(f"{path}: expected 'u v k' integers after the header: {e}") from None
+    entries = entries.reshape(-1, 3)
+    outside = (entries < 0) | (entries >= (m1, m2, n))
+    if outside.any():
+        u, v, k = entries[outside.argmax() // 3]
+        raise ValueError(f"{path}: entry {u} {v} {k} outside dims {m1} {m2} {n}")
+    return InteractionTensor.from_entries(m1, m2, _sorted_unique(entries, (m1, m2, n)), labels[2:])
 
 
 def write_index(tokens: list[str], path) -> None:

@@ -164,8 +164,6 @@ def project_out(H: np.ndarray, P: sp.spmatrix | np.ndarray) -> np.ndarray:
     diag = np.diag(G)
     if not np.allclose(G, np.diag(diag)):
         raise ValueError("P^T P must be diagonal (one-hot feature columns)")
-    if np.any(diag <= 0):
-        raise ValueError("P^T P is singular")
     return H - Pd @ ((Pd.T @ H) / diag[:, None])
 
 

@@ -31,7 +31,9 @@ def report(n, name):
 
 def test_acceptance_01_svd_oracle():
     rng = np.random.default_rng(2024)
-    start = time.perf_counter()
+    # CPU time, so a busy host does not fail the bound; with several BLAS threads it
+    # counts every thread's time, which is stricter than wall time
+    start = time.process_time()
     for _ in range(50):
         m = int(rng.integers(20, 201))
         n = int(rng.integers(20, 201))
@@ -40,8 +42,8 @@ def test_acceptance_01_svd_oracle():
         Q = truncated_svd_left(A, SvdOptions(rank=r, rng_seed=int(rng.integers(1 << 30))))
         ref = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :r]
         assert subspace_angle_sin(Q, ref) <= 1e-8
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0, f"SVD oracle suite took {elapsed:.2f}s"
+    elapsed = time.process_time() - start
+    assert elapsed < 5.0, f"SVD oracle suite took {elapsed:.2f}s of CPU time"
     report(1, "truncated SVD vs dense oracle")
 
 

@@ -311,6 +311,29 @@ def test_recommend_rejects_model_of_other_data(workspace, capsys):
         assert "do not match" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text.replace("# dims", "# dimensions", 1),
+        lambda text: text + "0 0\n",
+        lambda text: text + "0 0 x\n",
+        lambda text: text + "0 0 2\n",  # behavior index = n
+    ],
+    ids=["header", "two-fields", "non-integer", "outside-dims"],
+)
+def test_evaluate_rejects_damaged_tensor_file(workspace, capsys, damage):
+    tmp_path, cfg = workspace
+    tensor = tmp_path / "out" / "tensor.txt"
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
+    tensor.write_text(damage(tensor.read_text()))
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tensor}:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("other", ["seed", "entries"])
 def test_evaluate_and_recommend_reject_model_of_other_split(workspace, capsys, other):
     """A model.bin fitted on another split, of another seed or of other entries of the

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popsi.data import (
+    InteractionTensor,
     SplitSpec,
     _parse_regular,
+    _sorted_unique,
     build_tensor,
     item_popularity,
     parse_interactions,
@@ -395,7 +397,7 @@ def tensor_file(tmp_path):
         ("0 -1 1", "outside dims"),
         ("0 0", "expected 'u v k' integers"),
         ("0 0\n0 1 1 1", "expected 'u v k' integers"),  # 6 integers, but not 2 entries
-        ("# dims 3 x 2", "expected '# dims m1 m2 n'"),
+        ("# dims 3 x 2", "expected 'u v k' integers"),  # a header line in the body
     ],
     ids=["behavior", "row", "negative-col", "short", "short-then-long", "dims"],
 )
@@ -403,7 +405,15 @@ def test_read_triples_rejects_bad_entry(tensor_file, entry, message):
     path = tensor_file
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [entry]) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{len(lines) + 1}: .*{message}"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{message}"):
+        read_coordinate_triples(path)
+
+
+def test_read_triples_names_the_first_entry_outside_dims(tensor_file):
+    path = tensor_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["0 0 2", "5 0 0"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: entry 0 0 2 outside dims 3 3 2"):
         read_coordinate_triples(path)
 
 
@@ -416,22 +426,78 @@ def test_read_triples_rejects_label_count_mismatch(tensor_file):
         read_coordinate_triples(path)
 
 
-def test_read_triples_rejects_entry_before_dims(tensor_file):
+def test_read_triples_rejects_missing_header(tensor_file):
     path = tensor_file
     path.write_text("0 0 0\n" + path.read_text())
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: entry before"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: expected '# dims m1 m2 n'"):
         read_coordinate_triples(path)
 
 
-def test_read_triples_accepts_comments_and_blank_lines(tensor_file):
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (["# behaviors purchase click", "# dims 3 3 2"], ":1: expected '# dims m1 m2 n'"),
+        (["# dims 3 3 2"], ":2: expected '# behaviors' line"),
+        (["# dims 3 3 2", "# behaviours purchase click"], ":2: expected '# behaviors' line"),
+    ],
+    ids=["swapped", "no-behaviors", "misspelt"],
+)
+def test_read_triples_rejects_bad_header(tensor_file, header, message):
+    path = tensor_file
+    entries = path.read_text().splitlines()[2:]
+    path.write_text("\n".join(header + entries) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}{message}"):
+        read_coordinate_triples(path)
+
+
+@pytest.mark.parametrize("body", ["0 0\n1 1\n1 2\n", "0\n1\n2\n", "0 0 0 1\n1 1 1 0\n2 2 0 1\n"],
+                         ids=["two-fields", "one-field", "four-fields"])
+def test_read_triples_rejects_a_body_of_other_width(tmp_path, body):
+    """Every line has the same field count, so `loadtxt` reads it: 6 or 12 integers
+    are not 2 or 4 entries."""
+    path = tmp_path / "tensor.txt"
+    path.write_text("# dims 3 3 2\n# behaviors purchase click\n" + body)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expected 'u v k' integers"):
+        read_coordinate_triples(path)
+
+
+def test_read_triples_rejects_a_comment_line(tensor_file):
+    path = tensor_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["# a comment"] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expected 'u v k' integers"):
+        read_coordinate_triples(path)
+
+
+def test_read_triples_skips_blank_lines(tensor_file):
     path = tensor_file
     want = read_coordinate_triples(path)
     dims, labels, *entries = path.read_text().splitlines()
-    path.write_text("\n".join([labels, "# a comment", dims, ""] + entries[::-1]) + "\n\n")
+    entries = entries[::-1]  # out of order: the reader sorts them
+    path.write_text("\n".join([dims, labels, ""] + entries[:2] + ["", ""] + entries[2:]) + "\n\n")
     back = read_coordinate_triples(path)
     assert (back.dims, back.behavior_labels) == (want.dims, want.behavior_labels)
-    for a, b in zip(want.slices, back.slices):
-        assert (a != b).nnz == 0
+    assert back.entries.dtype == np.int32 and np.array_equal(back.entries, want.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m1=st.integers(1, 40),
+    m2=st.integers(1, 40),
+    labels=st.lists(st.text("abcxyz_", min_size=1, max_size=6), min_size=1, max_size=4,
+                    unique=True),
+    data=st.data(),
+)
+def test_coordinate_triples_round_trip_random(tmp_path_factory, m1, m2, labels, data):
+    n = len(labels)
+    triples = data.draw(st.lists(st.tuples(st.integers(0, m1 - 1), st.integers(0, m2 - 1),
+                                           st.integers(0, n - 1)), max_size=200))
+    entries = _sorted_unique(np.array(triples, dtype=np.int64).reshape(-1, 3), (m1, m2, n))
+    path = tmp_path_factory.mktemp("triples") / "tensor.txt"
+    write_coordinate_triples(InteractionTensor.from_entries(m1, m2, entries, labels), path)
+    back = read_coordinate_triples(path)
+    assert back.dims == (m1, m2, n) and back.behavior_labels == labels
+    assert back.entries.dtype == np.int32 and np.array_equal(back.entries, entries)
 
 
 def test_read_triples_rejects_dims_beyond_int32(tmp_path):
