@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import struct
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -99,15 +101,22 @@ def row_pointers(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return indptr
 
 
-def _sorted_unique(entries: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """N x 3 (u, v, k) entries as int32, unique and sorted by (u, v, k); entries already
-    in strictly increasing order are only converted."""
+def _sorted_unique(entries: np.ndarray, dims: tuple, at: str = "", sort: bool = True) -> np.ndarray:
+    """N x 3 (u, v, k) entries inside `dims` as int32, unique and sorted by (u, v, k): sorted
+    ones are only converted, others sorted or, when `sort` is off, refused. Each ValueError
+    starts with `at`, which names the file the entries come from."""
     m1, m2, n = dims
-    if max(m1, m2) > np.iinfo(np.int32).max or m1 * m2 * n > np.iinfo(np.int64).max:
-        raise ValueError(f"tensor dims {m1} {m2} {n} are too large")
+    if min(dims) < 0 or max(m1, m2) > np.iinfo(np.int32).max or m1 * m2 * n >= 2**63:
+        raise ValueError(f"{at}tensor dims {m1} {m2} {n} are too large or negative")
+    outside = (entries < 0) | (entries >= dims)
+    if outside.any():
+        u, v, k = entries[outside.argmax() // 3]
+        raise ValueError(f"{at}entry {u} {v} {k} outside dims {m1} {m2} {n}")
     key = (entries[:, 0].astype(np.int64) * m2 + entries[:, 1]) * n + entries[:, 2]
     if (key[1:] > key[:-1]).all():
-        return entries.astype(np.int32)
+        return entries.astype(np.int32, copy=False)
+    if not sort:
+        raise ValueError(f"{at}entries are not unique and sorted by (u, v, k)")
     key = np.sort(key)
     key = key[np.r_[True, key[1:] != key[:-1]]]
     uv, k = np.divmod(key, n)
@@ -237,13 +246,17 @@ def _parse_regular(text: str, behavior_labels: Sequence[str], delimiter: str) ->
         kinds[(behaviors == label) & (lens[:, 2] == len(label))] = k
     if not lens[:, :2].all() or (kinds < 0).any() or ((stamps - 48 > 9) & (stamps > 0)).any():
         return None
+    del behaviors, stamps  # freed before the sorts, or glibc keeps their heap resident
     ids, tokens = [], []
     for rows in (users, items):  # the zero padding is unambiguous: no token holds a zero byte
         keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"S{rows.shape[1]}").ravel()
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # numbered by first appearance
-        ids.append(np.argsort(order)[inverse])
-        tokens.append([t.decode() for t in uniq[order].view(f"S{rows.shape[1]}").tolist()])
+        by_key = np.argsort(keys)  # equal keys side by side, their lines in any order
+        new = np.r_[True, keys[by_key[1:]] != keys[by_key[:-1]]]
+        first = np.minimum.reduceat(by_key, np.flatnonzero(new))  # each key's first line
+        order = np.argsort(first)  # keys numbered by first appearance
+        ids.append(np.empty_like(by_key))
+        ids[-1][by_key] = np.argsort(order)[np.cumsum(new) - 1]
+        tokens.append([t.decode() for t in keys[first[order]].view(f"S{rows.shape[1]}").tolist()])
     return ParsedLog(np.column_stack([*ids, kinds]), *tokens, 0, 0)
 
 
@@ -328,12 +341,59 @@ def read_coordinate_triples(path) -> InteractionTensor:
                 raise ValueError(f"{entries.shape[1]} fields per line")
         except ValueError as e:
             raise ValueError(f"{path}: expected 'u v k' integers after the header: {e}") from None
-    entries = entries.reshape(-1, 3)
-    outside = (entries < 0) | (entries >= (m1, m2, n))
-    if outside.any():
-        u, v, k = entries[outside.argmax() // 3]
-        raise ValueError(f"{path}: entry {u} {v} {k} outside dims {m1} {m2} {n}")
-    return InteractionTensor.from_entries(m1, m2, _sorted_unique(entries, (m1, m2, n)), labels[2:])
+    entries = _sorted_unique(entries.reshape(-1, 3), (m1, m2, n), f"{path}: ")
+    return InteractionTensor.from_entries(m1, m2, entries, labels[2:])
+
+
+# --- container: magic, u32 version, u32 JSON metadata length + metadata, raw LE arrays ---
+
+MAGIC = {"model": b"POPSIMDL", "tensor": b"POPSITNS"}
+CONTAINER_VERSION = 1
+
+
+def _write_container(path, kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> None:
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    with open(path, "wb") as f:
+        f.write(MAGIC[kind] + struct.pack("<II", CONTAINER_VERSION, len(meta_bytes)) + meta_bytes)
+        f.writelines(array.tobytes() for array in arrays)
+
+
+def _read_container(path, kind: str, layout) -> tuple[dict, list[np.ndarray]]:
+    """The metadata and arrays of a `kind` container, `layout(meta)` giving each array's
+    (dtype, shape); any other file is a ValueError naming `path`."""
+    with open(path, "rb") as f:
+        def take(n: int) -> bytes:
+            buf = f.read(n)
+            if len(buf) != n:
+                raise ValueError(f"truncated {kind} file: wanted {n} bytes, got {len(buf)}")
+            return buf
+
+        try:
+            if (magic := f.read(8)) != MAGIC[kind]:
+                raise ValueError(f"not a {kind} file (bad magic {magic!r})")
+            version, size = struct.unpack("<II", take(8))
+            if version != CONTAINER_VERSION:
+                raise ValueError(f"unsupported {kind} version {version}")
+            meta = json.loads(take(size))
+            arrays = [np.frombuffer(take(np.dtype(dtype).itemsize * int(np.prod(shape))), dtype)
+                      .reshape(shape).copy() for dtype, shape in layout(meta)]
+            if f.read(1):
+                raise ValueError(f"{kind} file has trailing bytes after its arrays")
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: {e}") from None
+    return meta, arrays
+
+
+def write_tensor(tensor: InteractionTensor, path) -> None:
+    meta = {"dims": tensor.dims, "behavior_labels": tensor.behavior_labels, "entries": tensor.nnz()}
+    _write_container(path, "tensor", meta, [tensor.entries.astype("<i4", copy=False)])
+
+
+def read_tensor(path) -> InteractionTensor:
+    """Read the container `write_tensor` writes; any other file is a ValueError naming `path`."""
+    meta, (entries,) = _read_container(path, "tensor", lambda m: [("<i4", (m["entries"], 3))])
+    entries = _sorted_unique(entries, meta["dims"], f"{path}: ", sort=False)
+    return InteractionTensor.from_entries(*meta["dims"][:2], entries, meta["behavior_labels"])
 
 
 def write_index(tokens: list[str], path) -> None:

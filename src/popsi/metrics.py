@@ -12,7 +12,7 @@ import numpy as np
 from popsi.data import InteractionTensor, item_popularity
 from popsi.model import rank_items
 
-SCORE_BLOCK = 1 << 20  # scores per evaluation block: 8 MB of float64
+SCORE_BLOCK = 1 << 17  # scores per evaluation block: 1 MB of float64
 
 
 @dataclass

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import ctypes
-import json
-import struct
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from popsi.data import InteractionTensor, item_popularity, row_pointers
+from popsi.data import (InteractionTensor, _read_container, _write_container, item_popularity,
+                        row_pointers)
 from popsi.linalg import (
     ORTHO_TOL,
     SvdOptions,
@@ -267,10 +266,7 @@ def rank_items(
     return items, top
 
 
-# --- model container: 8-byte magic, u32 version, JSON metadata, raw float64 arrays ---
-
-MODEL_MAGIC = b"POPSIMDL"
-MODEL_VERSION = 1
+# --- model container (`popsi.data`'s layout): row-major float64 W, H, then the cores ---
 
 
 def save_model(model: PreferenceModel, path) -> None:
@@ -287,44 +283,13 @@ def save_model(model: PreferenceModel, path) -> None:
         "core_shapes": [list(c.shape) for c in model.cores],
         "trained_on": model.trained_on,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", MODEL_VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        for arr in [model.spaces.W, model.spaces.H, *model.cores]:
-            f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    arrays = [model.spaces.W, model.spaces.H, *model.cores]
+    _write_container(path, "model", meta, [np.asarray(a, dtype="<f8") for a in arrays])
 
 
 def load_model(path) -> PreferenceModel:
-    """Read a model container; a short read or bytes after the last array raise ValueError."""
-    with open(path, "rb") as f:
-
-        def read(n: int) -> bytes:
-            buf = f.read(n)
-            if len(buf) != n:
-                raise ValueError(f"truncated model file {path}: wanted {n} bytes, got {len(buf)}")
-            return buf
-
-        magic = f.read(8)
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"not a model file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", read(4))
-        if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {version}")
-        (meta_len,) = struct.unpack("<I", read(4))
-        meta = json.loads(read(meta_len))
-
-        def read_array(shape):
-            buf = read(8 * int(np.prod(shape)))
-            return np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-
-        W = read_array((meta["m1"], meta["r"]))
-        H = read_array((meta["m2"], meta["r_refined"]))
-        cores = [read_array(tuple(s)) for s in meta["core_shapes"]]
-        if f.read(1):
-            raise ValueError(f"model file {path} has trailing bytes after its arrays")
-    spaces = FeatureSpaces(W, H)
-    return PreferenceModel(spaces, cores, meta["behavior_labels"], meta["p"], meta["use_si"],
-                           meta["use_pop"], meta.get("trained_on"))
+    """Read the container `save_model` writes; any other file is a ValueError naming `path`."""
+    meta, (W, H, *cores) = _read_container(path, "model", lambda m: [
+        ("<f8", s) for s in [(m["m1"], m["r"]), (m["m2"], m["r_refined"]), *m["core_shapes"]]])
+    return PreferenceModel(FeatureSpaces(W, H), cores, meta["behavior_labels"], meta["p"],
+                           meta["use_si"], meta["use_pop"], meta.get("trained_on"))

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import tensor_to_log_lines
 from popsi.cli import RunConfig, _read_settings, main
+from popsi.data import read_coordinate_triples, read_tensor
 from popsi.synth import SynthConfig, generate
 
 
@@ -102,6 +103,10 @@ def test_ingest_outputs(workspace, capsys):
     assert set(stats["behaviors"]) == {"purchase", "click"}
     assert 0 < stats["target_sparsity"] < 1
     assert (out / "tensor.txt").exists() and (out / "users.txt").exists()
+    # the commands read tensor.bin; tensor.txt is the same tensor as text
+    binary, text = read_tensor(out / "tensor.bin"), read_coordinate_triples(out / "tensor.txt")
+    assert (binary.dims, binary.behavior_labels) == (text.dims, text.behavior_labels)
+    assert binary.entries.dtype == np.int32 and np.array_equal(binary.entries, text.entries)
     # effective config round-trips
     effective = json.loads((out / "effective_config.json").read_text())
     from dataclasses import asdict, replace
@@ -130,7 +135,7 @@ def test_ingest_reads_a_regular_log_on_the_fast_path(workspace, monkeypatch):
     assert run(["ingest", "--config", cfg, "--input", messy, "--header",
                 "--out", tmp_path / "messy"]) == 0
     assert [log is not None for log in parsed] == [True, False]
-    for name in ("tensor.txt", "users.txt", "items.txt", "stats.json"):
+    for name in ("tensor.txt", "tensor.bin", "users.txt", "items.txt", "stats.json"):
         assert (tmp_path / "messy" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
@@ -311,22 +316,29 @@ def test_recommend_rejects_model_of_other_data(workspace, capsys):
         assert "do not match" in captured.err and captured.out == ""
 
 
+def _swap_first_entries(data: bytes) -> bytes:
+    """tensor.bin with its first two entries swapped; the entries follow the metadata."""
+    at = 16 + int.from_bytes(data[12:16], "little")
+    return data[:at] + data[at + 12 : at + 24] + data[at : at + 12] + data[at + 24 :]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda text: text.replace("# dims", "# dimensions", 1),
-        lambda text: text + "0 0\n",
-        lambda text: text + "0 0 x\n",
-        lambda text: text + "0 0 2\n",  # behavior index = n
+        lambda data: b"POPSIXXX" + data[8:],
+        lambda data: data[:-1],
+        lambda data: data + b"\0",
+        lambda data: data[:-4] + (2).to_bytes(4, "little"),  # last behavior index = n
+        _swap_first_entries,
     ],
-    ids=["header", "two-fields", "non-integer", "outside-dims"],
+    ids=["header", "truncated", "trailing-byte", "outside-dims", "out-of-order"],
 )
 def test_evaluate_rejects_damaged_tensor_file(workspace, capsys, damage):
     tmp_path, cfg = workspace
-    tensor = tmp_path / "out" / "tensor.txt"
+    tensor = tmp_path / "out" / "tensor.bin"
     assert run(["ingest", "--config", cfg]) == 0
     assert run(["fit", "--config", cfg]) == 0
-    tensor.write_text(damage(tensor.read_text()))
+    tensor.write_bytes(damage(tensor.read_bytes()))
     capsys.readouterr()
     assert run(["evaluate", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -587,7 +599,7 @@ def test_fit_records_the_tensor_behaviors(workspace):
     swapped = with_settings(cfg, "swapped.json", behaviors=["click", "purchase"])
     assert run(["fit", "--config", swapped]) == 0
     recorded = json.loads((tmp_path / "out" / "effective_config.json").read_text())
-    assert recorded["behaviors"] == ["purchase", "click"]  # tensor.txt's `# behaviors`
+    assert recorded["behaviors"] == ["purchase", "click"]  # the labels of tensor.bin
 
 
 def test_missing_effective_config_names_run_directory(tmp_path, capsys):
@@ -596,6 +608,19 @@ def test_missing_effective_config_names_run_directory(tmp_path, capsys):
     for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
         assert run([*command, "--out", tmp_path / "nowhere"]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_missing_tensor_asks_for_ingest(workspace, capsys):
+    """The commands read only tensor.bin: without it they exit 2, though tensor.txt is there."""
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    (tmp_path / "out" / "tensor.bin").unlink()
+    capsys.readouterr()
+    message = f"error: run directory {tmp_path / 'out'} has no tensor.bin; run `popsi ingest` first"
+    sweep = ["sweep", "--param", "r", "--values", "4"]
+    for command in (["fit"], ["evaluate"], ["recommend", "u0"], sweep):
+        assert run([*command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize(
@@ -685,3 +710,32 @@ def test_cli_import_skips_scipy_stats(workspace):
                               ("baselines", "cli", "data", "linalg", "metrics", "model")]
     assert seen["import"] == seen["ingest"] == seen["evaluate"] == seen["recommend"] == []
     assert "scipy.sparse" in seen["fit"]
+
+
+def test_module_entry_point_flushes_and_exits_with_main_status(workspace, capsys):
+    """`python -m popsi.cli` leaves through `os._exit`: the stdout it writes to a file is
+    complete, and it exits with main's status, 0, 1 or 2; argparse's exits stay as they were."""
+    tmp_path, cfg = workspace
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")  # stdout is buffered
+
+    def cli(*args) -> tuple[int, str, str]:
+        with open(tmp_path / "stdout.txt", "w") as out:
+            done = subprocess.run([sys.executable, "-m", "popsi.cli", *map(str, args)], env=env,
+                                  stdout=out, stderr=subprocess.PIPE, text=True, timeout=120)
+        return done.returncode, (tmp_path / "stdout.txt").read_text(), done.stderr
+
+    status, out, err = cli("ingest", "--config", cfg)
+    assert (status, out, err) == (0, (tmp_path / "out" / "stats.json").read_text(), "")
+    assert run(["fit", "--config", cfg]) == 0
+    tokens = (tmp_path / "out" / "users.txt").read_text().split() + ["nobody"]
+    capsys.readouterr()
+    assert run(["recommend", "--config", cfg, "--k", 1000, *tokens]) == 1
+    want = capsys.readouterr()
+    assert len(want.out) > 16384  # more than one buffer of output
+    assert cli("recommend", "--config", cfg, "--k", 1000, *tokens) == (1, want.out, want.err)
+    status, out, err = cli("recommend", "--config", cfg, "--out", tmp_path / "nowhere", "u0")
+    assert (status, out) == (2, "") and err.startswith("error: run directory")
+    for args, code in ((["--help"], 0), (["fit", "--bogus"], 2)):
+        status, out, err = cli(*args)
+        assert status == code and "usage: popsi" in out + err and "Traceback" not in err

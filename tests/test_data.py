@@ -1,5 +1,6 @@
 import io
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from popsi.data import (
     item_popularity,
     parse_interactions,
     read_coordinate_triples,
+    read_tensor,
     split_holdout,
     write_coordinate_triples,
+    write_tensor,
 )
 
 LABELS = ["purchase", "click"]
@@ -513,3 +516,71 @@ def test_read_triples_header_only(tmp_path):
     path.write_text("# dims 2 3 1\n# behaviors purchase\n")
     tensor = read_coordinate_triples(path)
     assert tensor.dims == (2, 3, 1) and tensor.nnz() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m1=st.integers(1, 40),
+    m2=st.integers(1, 40),
+    labels=st.lists(st.text("abcxyz_", min_size=1, max_size=6), min_size=1, max_size=4,
+                    unique=True),
+    data=st.data(),
+)
+def test_tensor_container_round_trip_random(tmp_path_factory, m1, m2, labels, data):
+    n = len(labels)
+    triples = data.draw(st.lists(st.tuples(st.integers(0, m1 - 1), st.integers(0, m2 - 1),
+                                           st.integers(0, n - 1)), max_size=200))
+    entries = _sorted_unique(np.array(triples, dtype=np.int64).reshape(-1, 3), (m1, m2, n))
+    path = tmp_path_factory.mktemp("container") / "tensor.bin"
+    write_tensor(InteractionTensor.from_entries(m1, m2, entries, labels), path)
+    back = read_tensor(path)
+    assert back.dims == (m1, m2, n) and back.behavior_labels == labels
+    assert back.entries.dtype == np.int32 and np.array_equal(back.entries, entries)
+
+
+def _first_entries_edited(data: bytes, first: int, second: int) -> bytes:
+    """A tensor container whose first two entries are entries `first` and `second` of
+    `data`'s; the entries follow the 16-byte header and the metadata."""
+    at = 16 + struct.unpack("<I", data[12:16])[0]
+    return (data[:at] + data[at + 12 * first : at + 12 * first + 12]
+            + data[at + 12 * second : at + 12 * second + 12] + data[at + 24 :])
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: b"POPSIMDL" + d[8:], r"not a tensor file \(bad magic b'POPSIMDL'\)"),
+        (lambda d: d[:8] + struct.pack("<I", 2) + d[12:], "unsupported tensor version 2"),
+        (lambda d: d[:20], r"truncated tensor file: wanted \d+ bytes, got 4"),  # metadata
+        (lambda d: d[:-1], "truncated tensor file: wanted 108 bytes, got 107"),
+        (lambda d: d + b"\0", "tensor file has trailing bytes after its arrays"),
+        (lambda d: d[:-4] + struct.pack("<i", 2), "entry 2 2 2 outside dims 3 3 2"),
+        (lambda d: _first_entries_edited(d, 1, 0),
+         r"entries are not unique and sorted by \(u, v, k\)"),
+        (lambda d: _first_entries_edited(d, 0, 0),
+         r"entries are not unique and sorted by \(u, v, k\)"),
+    ],
+    ids=["magic", "version", "short-metadata", "truncated", "trailing", "outside-dims",
+         "out-of-order", "repeated"],
+)
+def test_read_tensor_rejects_a_damaged_file(tmp_path, damage, message):
+    path = tmp_path / "tensor.bin"
+    write_tensor(_tensor(_lines_grid(3, 3)), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("dims, message", [((-1, 2, 1), "are too large or negative"),
+                                           ((3000000000, 2, 1), "are too large")],
+                         ids=["negative", "beyond-int32"])
+@pytest.mark.parametrize("write, read", [(write_coordinate_triples, read_coordinate_triples),
+                                         (write_tensor, read_tensor)], ids=["text", "binary"])
+def test_readers_name_the_file_for_bad_dims(tmp_path, dims, message, write, read):
+    """Dims that are negative, with no entry to fall outside them, or beyond int32 are a
+    ValueError naming the file in either reader."""
+    path = tmp_path / "tensor"
+    write(InteractionTensor.from_entries(*dims[:2], np.empty((0, 3), np.int32), ["a"]), path)
+    message = f"^{re.escape(str(path))}: tensor dims {' '.join(map(str, dims))} {message}"
+    with pytest.raises(ValueError, match=message):
+        read(path)
