@@ -29,7 +29,7 @@ from popsi.data import (
     write_tensor,
 )
 from popsi.linalg import SvdOptions
-from popsi.metrics import evaluate
+from popsi.metrics import SCORE_BLOCK, evaluate
 from popsi.model import (build_popularity_features, estimate_subspaces, fit, load_model,
                          rank_items, save_model, score_user)
 
@@ -193,22 +193,23 @@ def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
     train = _fitted_split(cfg, tensor, model).train
     users, items = read_index(out / "users.txt"), read_index(out / "items.txt")
     user_index = {token: u for u, token in enumerate(users)}
-    known = np.array([user_index[t] for t in user_tokens if t in user_index], dtype=np.int64)
-    ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)
-    row_of = {u: i for i, u in enumerate(known.tolist())}
-    status = 0
-    for token in user_tokens:
-        if token not in user_index:
-            print(f"ERR unknown user\t{token}")
-            status = 1
-            continue
-        i = row_of[user_index[token]]
-        n = int(np.count_nonzero(ranked[i] >= 0))
-        if n < ranked.shape[1]:
-            print(f"warning: only {n} candidates for {token}", file=sys.stderr)
-        for v, s in zip(ranked[i, :n].tolist(), scores[i, :n].tolist()):
-            print(f"{token}\t{items[v]}\t{s:.6g}")
-    return status
+    rows = max(1, SCORE_BLOCK // train.m2)  # tokens per block, so memory stays bounded
+    for start in range(0, len(user_tokens), rows):
+        tokens = user_tokens[start : start + rows]
+        known = np.array([user_index[t] for t in tokens if t in user_index], dtype=np.int64)
+        ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)
+        row_of = {u: i for i, u in enumerate(known.tolist())}
+        for token in tokens:
+            if token not in user_index:
+                print(f"ERR unknown user\t{token}")
+                continue
+            i = row_of[user_index[token]]
+            n = int(np.count_nonzero(ranked[i] >= 0))
+            if n < ranked.shape[1]:
+                print(f"warning: only {n} candidates for {token}", file=sys.stderr)
+            for v, s in zip(ranked[i, :n].tolist(), scores[i, :n].tolist()):
+                print(f"{token}\t{items[v]}\t{s:.6g}")
+    return int(any(token not in user_index for token in user_tokens))  # 1: an unknown user
 
 
 def _grid_values(param: str, text: str) -> list[float]:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -175,13 +175,13 @@ class ParsedLog:
 
 
 def parse_interactions(
-    lines: str | Iterable[str],
+    text: str,
     behavior_labels: Sequence[str],
     delimiter: str = ",",
     has_header: bool = False,
 ) -> ParsedLog:
-    """Parse `user,item,behavior[,timestamp]` lines in one pass. A text is cut into lines at
-    "\n" only, as a file in text mode is, and read by `_parse_regular` when it is regular.
+    """Parse the `user,item,behavior[,timestamp]` lines of a log's text in one pass. Lines
+    end at "\n" only, as in a file read in text mode; a regular text is read by `_parse_regular`.
 
     Users and items get dense indices in order of first appearance among the
     kept lines; blank lines are ignored. A line with fewer than three fields,
@@ -191,17 +191,16 @@ def parse_interactions(
     """
     if not delimiter:
         raise ValueError("delimiter must be a non-empty string")
-    if isinstance(lines, str):
-        text = lines.partition("\n")[2] if has_header else lines
-        return (_parse_regular(text, behavior_labels, delimiter)
-                or parse_interactions(text.split("\n"), behavior_labels, delimiter))
+    text = text.partition("\n")[2] if has_header else text
+    if (log := _parse_regular(text, behavior_labels, delimiter)) is not None:
+        return log
     label_pos = {b: k for k, b in enumerate(behavior_labels)}
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     columns = array("q")
     malformed = unknown = 0
-    for raw in islice(lines, int(has_header), None):
-        line = raw.rstrip("\n\r")
+    for match in re.finditer("[^\n]+", text):  # one line at a time, not a list of them all
+        line = match[0].rstrip("\r")
         if not line.strip():
             continue
         parts = line.split(delimiter)
@@ -358,9 +357,9 @@ def _write_container(path, kind: str, meta: dict, arrays: Sequence[np.ndarray]) 
         f.writelines(array.tobytes() for array in arrays)
 
 
-def _read_container(path, kind: str, layout) -> tuple[dict, list[np.ndarray]]:
-    """The metadata and arrays of a `kind` container, `layout(meta)` giving each array's
-    (dtype, shape); any other file is a ValueError naming `path`."""
+def _read_container(path, kind: str, layout, build):
+    """`build(meta, arrays)` of a `kind` container, `layout(meta)` giving each array's
+    (dtype, shape); any other file, or metadata they cannot use, is a ValueError naming `path`."""
     with open(path, "rb") as f:
         def take(n: int) -> bytes:
             buf = f.read(n)
@@ -379,9 +378,11 @@ def _read_container(path, kind: str, layout) -> tuple[dict, list[np.ndarray]]:
                       .reshape(shape).copy() for dtype, shape in layout(meta)]
             if f.read(1):
                 raise ValueError(f"{kind} file has trailing bytes after its arrays")
-        except (ValueError, KeyError, TypeError) as e:
+            return build(meta, arrays)
+        except KeyError as e:
+            raise ValueError(f"{path}: {kind} metadata has no key {e}") from None
+        except (ValueError, TypeError) as e:
             raise ValueError(f"{path}: {e}") from None
-    return meta, arrays
 
 
 def write_tensor(tensor: InteractionTensor, path) -> None:
@@ -391,9 +392,14 @@ def write_tensor(tensor: InteractionTensor, path) -> None:
 
 def read_tensor(path) -> InteractionTensor:
     """Read the container `write_tensor` writes; any other file is a ValueError naming `path`."""
-    meta, (entries,) = _read_container(path, "tensor", lambda m: [("<i4", (m["entries"], 3))])
-    entries = _sorted_unique(entries, meta["dims"], f"{path}: ", sort=False)
-    return InteractionTensor.from_entries(*meta["dims"][:2], entries, meta["behavior_labels"])
+    def build(meta, arrays):
+        dims, labels = meta["dims"], meta["behavior_labels"]
+        if [type(d) for d in dims] != [int] * 3 or [type(b) for b in labels] != [str] * dims[2]:
+            raise ValueError(f"expected 3 integer dims and n labels, got {dims} and {labels}")
+        entries = _sorted_unique(arrays[0], dims, sort=False)
+        return InteractionTensor.from_entries(*dims[:2], entries, labels)
+
+    return _read_container(path, "tensor", lambda m: [("<i4", (m["entries"], 3))], build)
 
 
 def write_index(tokens: list[str], path) -> None:

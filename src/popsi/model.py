@@ -9,8 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from popsi.data import (InteractionTensor, _read_container, _write_container, item_popularity,
-                        row_pointers)
+from popsi.data import InteractionTensor, _read_container, _write_container, item_popularity
 from popsi.linalg import (
     ORTHO_TOL,
     SvdOptions,
@@ -55,16 +54,9 @@ def unfold(tensor: InteractionTensor, mode: int) -> sp.csr_matrix:
     """Mode-1 unfolding [X^1 ... X^n] (m1 x m2*n) or mode-2 [X^1T ... X^nT] (m2 x m1*n)."""
     import scipy.sparse as sp
 
-    u, v, k = tensor.entries.T
-    m1, m2, n = tensor.dims
-    if mode == 1:
-        rows, cols, shape = u, np.int64(m2) * k + v, (m1, m2 * n)
-    elif mode == 2:
-        rows, cols, shape = v, np.int64(m1) * k + u, (m2, m1 * n)
-    else:
+    if mode not in (1, 2):
         raise ValueError(f"unfolding mode must be 1 or 2, got {mode}")
-    order = np.argsort(rows * np.int64(shape[1]) + cols)  # by row, then column
-    return sp.csr_matrix((np.ones(len(rows)), cols[order], row_pointers(rows, shape[0])), shape)
+    return sp.hstack([s if mode == 1 else s.T for s in tensor.slices], format="csr")
 
 
 def refold(unfolded: sp.spmatrix, mode: int, dims: tuple[int, int, int]) -> list[sp.csr_matrix]:
@@ -289,7 +281,7 @@ def save_model(model: PreferenceModel, path) -> None:
 
 def load_model(path) -> PreferenceModel:
     """Read the container `save_model` writes; any other file is a ValueError naming `path`."""
-    meta, (W, H, *cores) = _read_container(path, "model", lambda m: [
-        ("<f8", s) for s in [(m["m1"], m["r"]), (m["m2"], m["r_refined"]), *m["core_shapes"]]])
-    return PreferenceModel(FeatureSpaces(W, H), cores, meta["behavior_labels"], meta["p"],
-                           meta["use_si"], meta["use_pop"], meta.get("trained_on"))
+    return _read_container(path, "model", lambda m: [
+        ("<f8", s) for s in [(m["m1"], m["r"]), (m["m2"], m["r_refined"]), *m["core_shapes"]]],
+        lambda m, a: PreferenceModel(FeatureSpaces(*a[:2]), a[2:], m["behavior_labels"], m["p"],
+                                     m["use_si"], m["use_pop"], m.get("trained_on")))

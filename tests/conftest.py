@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import scipy.sparse as sp
 import pytest
@@ -49,6 +52,16 @@ def subspace_angle_sin(Q, ref):
     """sin of the largest principal angle between span(Q) and span(ref)."""
     resid = ref - Q @ (Q.T @ ref)
     return np.linalg.norm(resid, 2)
+
+
+def with_metadata(data: bytes, edit) -> bytes:
+    """A container (tensor.bin or model.bin) whose JSON metadata `edit` has changed in place;
+    the metadata follows the 8-byte magic, the u32 version and its own u32 length."""
+    (size,) = struct.unpack("<I", data[12:16])
+    meta = json.loads(data[16 : 16 + size])
+    edit(meta)
+    new = json.dumps(meta, sort_keys=True).encode()
+    return data[:12] + struct.pack("<I", len(new)) + new + data[16 + size :]
 
 
 def tensor_to_log_lines(tensor, behaviors=None):

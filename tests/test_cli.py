@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tensor_to_log_lines
+from conftest import tensor_to_log_lines, with_metadata
 from popsi.cli import RunConfig, _read_settings, main
 from popsi.data import read_coordinate_triples, read_tensor
 from popsi.synth import SynthConfig, generate
@@ -287,6 +287,35 @@ def test_recommend_known_and_unknown(workspace, capsys):
     assert any(l.startswith("ERR unknown user") for l in lines)
 
 
+def test_recommend_scores_in_blocks(workspace, capsys, monkeypatch):
+    """Every user, with unknown and repeated tokens mixed in, is ranked in blocks of
+    SCORE_BLOCK scores: the output and exit status are those of one block."""
+    import popsi.cli
+    from popsi.model import score_user as score_user_of_model
+
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    run(["fit", "--config", cfg])
+    users = (tmp_path / "out" / "users.txt").read_text().split()
+    tokens = users[:7] + ["nobody", users[3], users[3]] + users[7:] + ["ghost", users[0]]
+    capsys.readouterr()
+    status = run(["recommend", "--config", cfg, "--k", 5, *tokens])
+    whole = capsys.readouterr()
+    assert status == 1 and whole.out.count("ERR unknown user") == 2
+
+    block_rows, m2, rows_seen = 3, len((tmp_path / "out" / "items.txt").read_text().split()), []
+
+    def score_user(model, users, k=0):
+        rows_seen.append(len(users))
+        return score_user_of_model(model, users, k)
+
+    monkeypatch.setattr(popsi.cli, "SCORE_BLOCK", block_rows * m2)
+    monkeypatch.setattr(popsi.cli, "score_user", score_user)
+    assert run(["recommend", "--config", cfg, "--k", 5, *tokens]) == status
+    assert capsys.readouterr() == whole
+    assert len(rows_seen) > 1 and max(rows_seen) <= block_rows
+
+
 def test_recommend_warns_when_candidates_run_short(workspace, capsys):
     tmp_path, cfg = workspace
     run(["ingest", "--config", cfg])
@@ -330,8 +359,9 @@ def _swap_first_entries(data: bytes) -> bytes:
         lambda data: data + b"\0",
         lambda data: data[:-4] + (2).to_bytes(4, "little"),  # last behavior index = n
         _swap_first_entries,
+        lambda data: with_metadata(data, lambda meta: meta.pop("dims")),
     ],
-    ids=["header", "truncated", "trailing-byte", "outside-dims", "out-of-order"],
+    ids=["header", "truncated", "trailing-byte", "outside-dims", "out-of-order", "no-dims"],
 )
 def test_evaluate_rejects_damaged_tensor_file(workspace, capsys, damage):
     tmp_path, cfg = workspace

@@ -1,11 +1,13 @@
-import io
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import with_metadata
+from popsi import data as popsi_data
 from popsi.data import (
     InteractionTensor,
     SplitSpec,
@@ -25,38 +27,38 @@ LABELS = ["purchase", "click"]
 
 
 def _tensor(lines, labels=LABELS):
-    return build_tensor(parse_interactions(lines, labels), labels)
+    return build_tensor(parse_interactions("\n".join(lines), labels), labels)
 
 
 def test_parse_basic_line():
-    log = parse_interactions(["u1,i1,purchase,100"], LABELS)
+    log = parse_interactions("u1,i1,purchase,100", LABELS)
     assert log.entries.tolist() == [[0, 0, 0]]
     assert log.user_tokens == ["u1"] and log.item_tokens == ["i1"]
     assert log.malformed == 0 and log.unknown_behavior == 0
 
 
 def test_parse_empty_input():
-    log = parse_interactions([], LABELS)
+    log = parse_interactions("", LABELS)
     assert log.entries.shape == (0, 3)
     assert log.user_tokens == [] and log.item_tokens == []
     assert log.malformed == 0 and log.unknown_behavior == 0
 
 
 def test_parse_unknown_behavior_skipped():
-    log = parse_interactions(["u1,i1,swipe,5"], LABELS)
+    log = parse_interactions("u1,i1,swipe,5", LABELS)
     assert len(log.entries) == 0 and log.user_tokens == []
     assert log.unknown_behavior == 1
 
 
 def test_parse_malformed_counted():
-    log = parse_interactions(["u1,i1", ",i1,purchase", "u2,i2,purchase"], LABELS)
+    log = parse_interactions("\n".join(["u1,i1", ",i1,purchase", "u2,i2,purchase"]), LABELS)
     assert len(log.entries) == 1 and log.user_tokens == ["u2"]
     assert log.malformed == 2
 
 
 def test_parse_header_and_delimiter():
     lines = ["user\titem\tbehavior", "u1\ti1\tclick"]
-    log = parse_interactions(lines, LABELS, delimiter="\t", has_header=True)
+    log = parse_interactions("\n".join(lines), LABELS, delimiter="\t", has_header=True)
     assert log.entries.tolist() == [[0, 0, 1]]
     assert log.user_tokens == ["u1"] and log.item_tokens == ["i1"]
 
@@ -68,8 +70,8 @@ def test_build_tensor_binarizes_duplicates():
 
 
 def test_build_tensor_dims_and_counts():
-    log = parse_interactions(["u1,i1,purchase", "u1,i2,click", "u2,i1,click", "u2,i2,purchase"],
-                             LABELS)
+    log = parse_interactions("\n".join(["u1,i1,purchase", "u1,i2,click", "u2,i1,click",
+                                        "u2,i2,purchase"]), LABELS)
     tensor = build_tensor(log, LABELS)
     assert tensor.dims == (2, 2, 2)
     assert tensor.nnz() == 4
@@ -130,7 +132,7 @@ def _reference_parse(lines, labels):
     lambda base: st.lists(st.sampled_from(base), max_size=40) if base else st.just([])))
 def test_parse_and_build_match_reference(lines):
     users, items, malformed, unknown, slices = _reference_parse(lines, LABELS)
-    log = parse_interactions(lines, LABELS)
+    log = _loop("\n".join(lines))
     assert (log.user_tokens, log.item_tokens) == (users, items)
     assert (log.malformed, log.unknown_behavior) == (malformed, unknown)
     if not users:
@@ -149,8 +151,9 @@ def test_parse_and_build_match_reference(lines):
 
 
 def _loop(text, labels=LABELS, **kwargs):
-    """The line loop over `text` read as a text-mode file is read: lines end at "\n" only."""
-    return parse_interactions(io.StringIO(text, newline="\n"), labels, **kwargs)
+    """The line loop, the reference: `parse_interactions` with `_parse_regular` declining."""
+    with mock.patch.object(popsi_data, "_parse_regular", return_value=None):
+        return parse_interactions(text, labels, **kwargs)
 
 
 def _assert_same_log(got, expected):
@@ -375,7 +378,7 @@ def test_coordinate_triple_roundtrip(tmp_path):
 
 
 def test_build_tensor_rejects_repeated_or_empty_label():
-    log = parse_interactions(_lines_grid(3, 3), LABELS)
+    log = parse_interactions("\n".join(_lines_grid(3, 3)), LABELS)
     with pytest.raises(ValueError, match="distinct"):
         build_tensor(log, ["purchase", "purchase", "click"])
     with pytest.raises(ValueError, match="non-empty"):
@@ -559,9 +562,22 @@ def _first_entries_edited(data: bytes, first: int, second: int) -> bytes:
          r"entries are not unique and sorted by \(u, v, k\)"),
         (lambda d: _first_entries_edited(d, 0, 0),
          r"entries are not unique and sorted by \(u, v, k\)"),
+        (lambda d: with_metadata(d, lambda m: m.pop("dims")), "tensor metadata has no key 'dims'"),
+        (lambda d: with_metadata(d, lambda m: m.pop("behavior_labels")),
+         "tensor metadata has no key 'behavior_labels'"),
+        (lambda d: with_metadata(d, lambda m: m.pop("entries")),
+         "tensor metadata has no key 'entries'"),
+        (lambda d: with_metadata(d, lambda m: m.update(dims=[3, 3])),
+         r"expected 3 integer dims and n labels, got \[3, 3\] and \['purchase', 'click'\]"),
+        (lambda d: with_metadata(d, lambda m: m.update(dims=[3.0, 3, 2])),
+         r"expected 3 integer dims and n labels, got \[3.0, 3, 2\] and \['purchase', 'click'\]"),
+        (lambda d: with_metadata(d, lambda m: m.update(behavior_labels=["purchase"])),
+         r"expected 3 integer dims and n labels, got \[3, 3, 2\] and \['purchase'\]"),
+        (lambda d: with_metadata(d, lambda m: m.update(entries="9")), ".+"),  # numpy's words
     ],
     ids=["magic", "version", "short-metadata", "truncated", "trailing", "outside-dims",
-         "out-of-order", "repeated"],
+         "out-of-order", "repeated", "no-dims", "no-labels", "no-entries", "two-dims",
+         "float-dims", "one-label", "string-entries"],
 )
 def test_read_tensor_rejects_a_damaged_file(tmp_path, damage, message):
     path = tmp_path / "tensor.bin"

@@ -1,4 +1,4 @@
-import json
+import re
 import struct
 import threading
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_binary_tensor, random_binary_tensor, random_orthonormal
+from conftest import block_binary_tensor, random_binary_tensor, random_orthonormal, with_metadata
 from popsi.data import InteractionTensor, ParsedLog, build_tensor
 from popsi.linalg import ORTHO_TOL, SvdOptions, truncated_svd_left
 from popsi.model import (
@@ -122,6 +122,28 @@ def test_unfold_from_entries_matches_per_slice_hstack(mode):
     got, want = unfold(tensor, mode), per_slice_unfold(slices, mode)
     assert got.shape == want.shape and (got != want).nnz == 0
     assert got.has_canonical_format and np.all(got.data == 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m1, m2, n, empty", [(5, 5, 1, None), (6, 4, 3, 1), (3, 9, 2, 0),
+                                              (8, 7, 4, 3)],
+                         ids=["one-slice", "empty-middle", "empty-target", "empty-last"])
+@pytest.mark.parametrize("mode", [1, 2])
+def test_unfold_stores_entries_sorted_by_row_then_column(mode, m1, m2, n, empty, seed):
+    """The SVDs' bits follow the unfolding's stored order, so a scipy whose `hstack`
+    stores entries in another order fails here instead of changing model.bin."""
+    rng = np.random.default_rng(seed)
+    per_slice = [[] if k == empty else [(u, v) for u in range(m1) for v in range(m2)
+                                        if rng.random() < 0.4] for k in range(n)]
+    tensor = tensor_from_entries(m1, m2, per_slice)
+    u, v, k = tensor.entries.T.astype(np.int64)
+    rows, cols, n_rows = (u, m2 * k + v, m1) if mode == 1 else (v, m1 * k + u, m2)
+    order = np.lexsort((cols, rows))
+    got = unfold(tensor, mode)
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, np.r_[0, np.cumsum(np.bincount(rows, minlength=n_rows))])
+    assert np.array_equal(got.indices, cols[order])
+    assert np.array_equal(got.data, np.ones(len(rows)))
 
 
 # --- popularity features ---
@@ -389,12 +411,19 @@ def test_model_serialization_roundtrip(tmp_path):
     save_model(back, tmp_path / "model2.bin")
     assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
     # files written while the metadata still carried `debiased` load the same arrays
-    data = path.read_bytes()
-    (meta_len,) = struct.unpack("<I", data[12:16])
-    meta = json.loads(data[16 : 16 + meta_len]) | {"debiased": True}
-    old = json.dumps(meta, sort_keys=True).encode()
-    path.write_bytes(data[:12] + struct.pack("<I", len(old)) + old + data[16 + meta_len :])
+    path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.update(debiased=True)))
     assert np.array_equal(load_model(path).spaces.H, model.spaces.H)
+
+
+@pytest.mark.parametrize("key", ["p", "use_pop", "behavior_labels", "r_refined", "core_shapes"])
+def test_model_without_a_metadata_key(tmp_path, key):
+    tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 1, density=0.4)
+    path = tmp_path / "model.bin"
+    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.pop(key)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model metadata has no key "
+                                         f"'{key}'$"):
+        load_model(path)
 
 
 def test_model_bad_magic(tmp_path):
