@@ -80,14 +80,18 @@ def _read_settings(path: str | Path) -> dict:
     return settings
 
 
-def _resolve_config(command: str, settings: dict) -> RunConfig:
-    """Defaults < the run's effective_config.json (every command but ingest) < settings."""
+def _resolve_config(settings: dict, from_run: bool) -> RunConfig:
+    """Defaults < the run's effective_config.json (if `from_run`) < settings."""
     out = Path(settings.setdefault("out", RunConfig.out))
-    for name in [] if command == "ingest" else ["effective_config.json", "tensor.bin"]:
+    for name in ["effective_config.json", "tensor.bin"] if from_run else []:
         if not (out / name).is_file():
             raise ValueError(f"run directory {out} has no {name}; run `popsi ingest` first")
-    recorded = {} if command == "ingest" else _read_settings(out / "effective_config.json")
-    return replace(RunConfig(), **{**recorded, **settings})
+    recorded = _read_settings(out / "effective_config.json") if from_run else {}
+    cfg = replace(RunConfig(), **{**recorded, **settings})
+    if min(cfg.k_values, default=0) < 1 or cfg.seed < 0:
+        raise ValueError(f"k_values must hold at least one K, each >= 1, and seed must be >= 0, "
+                         f"got k_values {cfg.k_values} and seed {cfg.seed}")
+    return cfg
 
 
 def _write_json(path: Path, obj) -> str:
@@ -96,7 +100,9 @@ def _write_json(path: Path, obj) -> str:
     return text
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
+def cmd_ingest(cfg: RunConfig, args: dict) -> int:
+    if target := args.get("target_behavior"):
+        cfg.behaviors = [target] + [b for b in cfg.behaviors if b != target]
     text = Path(cfg.input).read_text()  # in text mode; an unreadable input is main's OSError
     log = parse_interactions(text, cfg.behaviors, cfg.delimiter, cfg.has_header)
     tensor = build_tensor(log, cfg.behaviors)
@@ -132,7 +138,7 @@ def _trained_on(cfg: RunConfig, train) -> dict:
             "train_sha256": digest}
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: RunConfig, args: dict) -> int:
     out = Path(cfg.out)
     train = split_holdout(read_tensor(out / "tensor.bin"), cfg.split_spec()).train
     log: dict = {}
@@ -159,7 +165,7 @@ def _fitted_split(cfg: RunConfig, tensor, model):
     holdout = split_holdout(tensor, spec)
     if model.trained_on != _trained_on(cfg, holdout.train):
         out = Path(cfg.out)
-        split = (model.trained_on or {}).get("split")
+        split = model.trained_on and model.trained_on["split"]
         fitted = split and SplitSpec(tuple(split["ratios"]), split["rng_seed"])
         raise ValueError(f"{out / 'model.bin'} records split {fitted}, and the training entries "
                          f"of split {spec} of {out / 'tensor.bin'} do not match it; ask for "
@@ -167,7 +173,7 @@ def _fitted_split(cfg: RunConfig, tensor, model):
     return holdout
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig, args: dict) -> int:
     out = Path(cfg.out)
     t0 = time.perf_counter()
     tensor = read_tensor(out / "tensor.bin")
@@ -186,8 +192,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_recommend(cfg: RunConfig, user_tokens: list[str]) -> int:
-    out = Path(cfg.out)
+def cmd_recommend(cfg: RunConfig, args: dict) -> int:
+    out, user_tokens = Path(cfg.out), args["users"]
     tensor = read_tensor(out / "tensor.bin")
     model = load_model(out / "model.bin")
     train = _fitted_split(cfg, tensor, model).train
@@ -227,9 +233,10 @@ def _grid_values(param: str, text: str) -> list[float]:
     return values
 
 
-def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
+def cmd_sweep(cfg: RunConfig, args: dict) -> int:
     """Fit and validate each grid value. A p sweep estimates the subspaces once,
     because p only acts after the SVDs; an r sweep refits every point."""
+    param, values = args["param"], _grid_values(args["param"], args["values"])
     opts = cfg.svd_opts()  # a bad rank fails the command, not every grid point
     out = Path(cfg.out)
     holdout = split_holdout(read_tensor(out / "tensor.bin"), cfg.split_spec())
@@ -248,18 +255,13 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
             model = fit(train, r, p, cfg.use_si, cfg.use_pop, opts, spaces=spaces)
             # sweeps tune on the validation split
             report = evaluate(partial(score_user, model), holdout.val_positives, train, [50])
-            rows.append((param, value, report.ndcg[50], report.pri))
+            rows.append(f"{param},{value:g},{report.ndcg[50]:.6f},{report.pri:.6f}\n")
         except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
             print(f"error: {param}={value} failed: {e}", file=sys.stderr)
-            rows.append((param, value, None, None))
+            rows.append(f"{param},{value:g},,\n")
             status = 1
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w") as f:
-        f.write("param,value,ndcg_at_50,pri\n")
-        for name, value, ndcg, pri_v in rows:
-            nd = "" if ndcg is None else f"{ndcg:.6f}"
-            pr = "" if pri_v is None else f"{pri_v:.6f}"
-            f.write(f"{name},{value:g},{nd},{pr}\n")
+    csv_path.write_text("param,value,ndcg_at_50,pri\n" + "".join(rows))
     print(f"wrote {len(rows)} rows -> {csv_path}")
     return status
 
@@ -270,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, summary: str):
-        """A subparser that stores a flag under its RunConfig field name, and only if given."""
+    def add(name: str, summary: str, handler, from_run: bool = True):
+        """A subparser that runs `handler`; a flag is stored under its RunConfig name if given."""
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(handler=handler, from_run=from_run)
         sp.add_argument("--config")
         sp.add_argument("--r", type=int)
         sp.add_argument("--p", type=float)
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         return sp
 
-    sp = add("ingest", "parse raw logs into tensor + index files")
+    sp = add("ingest", "parse raw logs into tensor + index files", cmd_ingest, from_run=False)
     sp.add_argument("--input")
     sp.add_argument("--delimiter")
     sp.add_argument("--target-behavior", help="behavior moved to the front of --behaviors")
@@ -292,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--header", dest="has_header", action="store_true",
                     help="input has a header row")
 
-    add("fit", "fit a model on the training split")
-    add("evaluate", "evaluate a fitted model on the test split")
+    add("fit", "fit a model on the training split", cmd_fit)
+    add("evaluate", "evaluate a fitted model on the test split", cmd_evaluate)
 
-    sp = add("recommend", "print top-K lists for user tokens")
+    sp = add("recommend", "print top-K lists for user tokens", cmd_recommend)
     sp.add_argument("users", nargs="+", help="user tokens to recommend for")
 
-    sp = add("sweep", "grid sweep over r or p, evaluated on validation")
+    sp = add("sweep", "grid sweep over r or p, evaluated on validation", cmd_sweep)
     sp.add_argument("--param", choices=["r", "p"], required=True)
     sp.add_argument("--values", required=True, help="comma list of grid values")
     return parser
@@ -306,28 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
-    command = args["command"]
     try:
         settings = _read_settings(args["config"]) if "config" in args else {}
         settings.update((key, value) for key, value in args.items() if key in _FIELD_TYPES)
-        cfg = _resolve_config(command, settings)
-        target = args.get("target_behavior")
-        if target:
-            cfg.behaviors = [target] + [b for b in cfg.behaviors if b != target]
-        if command == "ingest":
-            return cmd_ingest(cfg)
-        if command == "fit":
-            return cmd_fit(cfg)
-        if command == "evaluate":
-            return cmd_evaluate(cfg)
-        if command == "recommend":
-            return cmd_recommend(cfg, args["users"])
-        if command == "sweep":
-            return cmd_sweep(cfg, args["param"], _grid_values(args["param"], args["values"]))
+        return args["handler"](_resolve_config(settings, args["from_run"]), args)
     except (ValueError, OSError, RuntimeError) as e:  # RuntimeError: an SVD or debias failed
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 def run() -> None:

@@ -280,8 +280,19 @@ def save_model(model: PreferenceModel, path) -> None:
 
 
 def load_model(path) -> PreferenceModel:
-    """Read the container `save_model` writes; any other file is a ValueError naming `path`."""
+    """Read what `save_model` writes; any other file or metadata is a ValueError naming `path`."""
+    def build(m, a):
+        def kinds(x):  # JSON `x` with each scalar replaced by its type
+            return ({k: kinds(v) for k, v in x.items()} if type(x) is dict
+                    else [kinds(v) for v in x] if type(x) is list else type(x))
+
+        fields = [m["behavior_labels"], m["p"], m["use_si"], m["use_pop"], m.get("trained_on")]
+        record = {"split": {"ratios": [float] * 3, "rng_seed": int}, "train_sha256": str}
+        want = [[str] * m["n_cores"], float, bool, bool, record if fields[4] else type(None)]
+        if kinds(fields) != want or m["core_shapes"] != [[m["r"], m["r_refined"]]] * m["n_cores"]:
+            raise ValueError("model metadata of other types or shapes than save_model writes")
+        return PreferenceModel(FeatureSpaces(*a[:2]), a[2:], *fields)
+
     return _read_container(path, "model", lambda m: [
         ("<f8", s) for s in [(m["m1"], m["r"]), (m["m2"], m["r_refined"]), *m["core_shapes"]]],
-        lambda m, a: PreferenceModel(FeatureSpaces(*a[:2]), a[2:], m["behavior_labels"], m["p"],
-                                     m["use_si"], m["use_pop"], m.get("trained_on")))
+        build)

@@ -376,6 +376,49 @@ def test_evaluate_rejects_damaged_tensor_file(workspace, capsys, damage):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.update(p="x"),
+    lambda meta: meta.update(use_si=1),
+    lambda meta: meta.update(trained_on=[1]),
+    lambda meta: meta["trained_on"]["split"].update(rng_seed=9.0),
+], ids=["p-string", "use_si-int", "trained_on-list", "rng_seed-float"])
+def test_evaluate_and_recommend_reject_damaged_model_metadata(workspace, capsys, edit):
+    tmp_path, cfg = workspace
+    model, report = tmp_path / "out" / "model.bin", tmp_path / "out" / "report.json"
+    for command in (["ingest"], ["fit"], ["evaluate"]):
+        assert run([*command, "--config", cfg]) == 0
+    written = report.read_bytes()
+    model.write_bytes(with_metadata(model.read_bytes(), edit))
+    capsys.readouterr()
+    for command in (["evaluate"], ["recommend", "u0"]):
+        assert run([*command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {model}:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert report.read_bytes() == written
+
+
+@pytest.mark.parametrize("settings", [{"k_values": []}, {"k_values": [5, 0]}, {"seed": -1}],
+                         ids=["no-k", "k-zero", "negative-seed"])
+def test_fit_rejects_unusable_k_values_and_seed(workspace, capsys, settings):
+    """Settings of the right types that no command can use exit 2 naming the field, before
+    anything is written."""
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
+    written = {name: (out / name).read_bytes() for name in ("effective_config.json", "model.bin")}
+    bad = with_settings(cfg, "bad.json", **settings)
+    message = ("error: k_values must hold at least one K, each >= 1, and seed must be >= 0, got "
+               f"k_values {settings.get('k_values', [5, 10])} and seed {settings.get('seed', 9)}\n")
+    capsys.readouterr()
+    for command in (["fit"], ["evaluate"], ["recommend", "u0"], ["ingest"]):
+        assert run([*command, "--config", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+    assert {name: (out / name).read_bytes() for name in written} == written
+
+
 @pytest.mark.parametrize("other", ["seed", "entries"])
 def test_evaluate_and_recommend_reject_model_of_other_split(workspace, capsys, other):
     """A model.bin fitted on another split, of another seed or of other entries of the

@@ -413,6 +413,9 @@ def test_model_serialization_roundtrip(tmp_path):
     # files written while the metadata still carried `debiased` load the same arrays
     path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.update(debiased=True)))
     assert np.array_equal(load_model(path).spaces.H, model.spaces.H)
+    # and so do files without the `trained_on` record
+    path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.pop("trained_on")))
+    assert load_model(path).trained_on is None
 
 
 @pytest.mark.parametrize("key", ["p", "use_pop", "behavior_labels", "r_refined", "core_shapes"])
@@ -423,6 +426,38 @@ def test_model_without_a_metadata_key(tmp_path, key):
     path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.pop(key)))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model metadata has no key "
                                          f"'{key}'$"):
+        load_model(path)
+
+
+def _split_record(edit):
+    return lambda m: edit(m["trained_on"]["split"])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(p="x"),
+    lambda m: m.update(use_si=1),
+    lambda m: m.update(use_pop=None),
+    lambda m: m.update(behavior_labels=[3, 4]),
+    lambda m: m["behavior_labels"].append("extra"),
+    lambda m: m.update(core_shapes=[s[::-1] for s in m["core_shapes"]]),
+    lambda m: m.update(trained_on=[m["trained_on"]]),
+    _split_record(lambda s: s.update(ratios=["0.8", "0.1", "0.1"])),
+    _split_record(lambda s: s.update(rng_seed=1.0)),
+    lambda m: m["trained_on"].update(train_sha256=7),
+], ids=["p-string", "use_si-int", "use_pop-null", "labels-int", "one-label-too-many",
+        "core_shapes-swapped", "trained_on-list", "ratios-strings", "rng_seed-float",
+        "sha-int"])
+def test_model_with_a_mistyped_metadata_field(tmp_path, edit):
+    tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 2, density=0.4)
+    model = fit(tensor, r=5, opts=SvdOptions(rank=5))
+    assert model.spaces.H.shape[1] == 4  # r_refined differs from r, so a swap shows
+    model.trained_on = {"split": {"ratios": [0.8, 0.1, 0.1], "rng_seed": 1},
+                        "train_sha256": "0" * 64}
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert load_model(path).trained_on == model.trained_on
+    path.write_bytes(with_metadata(path.read_bytes(), edit))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_model(path)
 
 
