@@ -61,4 +61,4 @@ def run_variant(
 
     config = {"variant": name, "r": r, "p": p, "use_si": use_si, "use_pop": use_pop,
               "seed": split.rng_seed}
-    return evaluate(score_fn, holdout.test_positives, holdout.train, k_values, config)
+    return evaluate(score_fn, holdout.test, holdout.train, k_values, config)

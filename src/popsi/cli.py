@@ -77,6 +77,8 @@ def _read_settings(path: str | Path) -> dict:
         elements = value if element and isinstance(value, list) else []
         if type(value).__name__ != kind or any(type(v).__name__ != element for v in elements):
             raise ValueError(f"{path}: {key} must be of type {_FIELD_TYPES[key]}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):  # JSON's NaN and Infinity
+            raise ValueError(f"{path}: {key} must be a finite number, got {value!r}")
     return settings
 
 
@@ -184,7 +186,7 @@ def cmd_evaluate(cfg: RunConfig, args: dict) -> int:
     log: dict = {}
     config = {"r": model.spaces.r, "p": model.p, "use_si": model.use_si,
               "use_pop": model.use_pop, "seed": cfg.seed}
-    report = evaluate(partial(score_user, model), holdout.test_positives, holdout.train,
+    report = evaluate(partial(score_user, model), holdout.test, holdout.train,
                       cfg.k_values, config, log)
     log["seconds"].update(load=t1 - t0, split=t2 - t1)
     _write_json(out / "eval_log.json", log)
@@ -200,10 +202,11 @@ def cmd_recommend(cfg: RunConfig, args: dict) -> int:
     users, items = read_index(out / "users.txt"), read_index(out / "items.txt")
     user_index = {token: u for u, token in enumerate(users)}
     rows = max(1, SCORE_BLOCK // train.m2)  # tokens per block, so memory stays bounded
+    K = min(cfg.k_values[0], train.m2)  # a longer list could only be padding
     for start in range(0, len(user_tokens), rows):
         tokens = user_tokens[start : start + rows]
         known = np.array([user_index[t] for t in tokens if t in user_index], dtype=np.int64)
-        ranked, scores = rank_items(score_user(model, known), known, cfg.k_values[0], train)
+        ranked, scores = rank_items(score_user(model, known), known, K, train)
         row_of = {u: i for i, u in enumerate(known.tolist())}
         for token in tokens:
             if token not in user_index:
@@ -211,7 +214,7 @@ def cmd_recommend(cfg: RunConfig, args: dict) -> int:
                 continue
             i = row_of[user_index[token]]
             n = int(np.count_nonzero(ranked[i] >= 0))
-            if n < ranked.shape[1]:
+            if n < cfg.k_values[0]:
                 print(f"warning: only {n} candidates for {token}", file=sys.stderr)
             for v, s in zip(ranked[i, :n].tolist(), scores[i, :n].tolist()):
                 print(f"{token}\t{items[v]}\t{s:.6g}")
@@ -254,7 +257,7 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
                 spaces = estimate_subspaces(train.with_side_info(cfg.use_si), r, opts)
             model = fit(train, r, p, cfg.use_si, cfg.use_pop, opts, spaces=spaces)
             # sweeps tune on the validation split
-            report = evaluate(partial(score_user, model), holdout.val_positives, train, [50])
+            report = evaluate(partial(score_user, model), holdout.val, train, [50])
             rows.append(f"{param},{value:g},{report.ndcg[50]:.6f},{report.pri:.6f}\n")
         except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
             print(f"error: {param}={value} failed: {e}", file=sys.stderr)

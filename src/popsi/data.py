@@ -130,7 +130,7 @@ class SplitSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if any(r < 0 or r > 1 for r in self.ratios):
+        if any(not 0 <= r <= 1 for r in self.ratios):  # a NaN ratio too
             raise ValueError(f"split ratios must lie in [0,1], got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-12:
             raise ValueError(f"split ratios must sum to 1, got {self.ratios}")
@@ -138,29 +138,20 @@ class SplitSpec:
 
 @dataclass
 class HoldoutSets:
-    """A split's training tensor and its held-out target entries; the per-user
-    positives dicts are built on first read."""
+    """A split's training tensor and its held-out target entries, each an N x 3 int32
+    array of (u, v, 0) rows, unique and sorted by (u, v)."""
 
     train: InteractionTensor
-    entries: np.ndarray  # the split tensor's entries
-    val_at: np.ndarray  # rows of `entries` held out for validation
-    test_at: np.ndarray  # rows of `entries` held out for test
+    val: np.ndarray
+    test: np.ndarray
 
-    @cached_property
-    def val_positives(self) -> dict[int, list[int]]:
-        return _per_user(self.entries[np.sort(self.val_at)])
-
-    @cached_property
+    @property
     def test_positives(self) -> dict[int, list[int]]:
-        return _per_user(self.entries[np.sort(self.test_at)])
-
-
-def _per_user(entries: np.ndarray) -> dict[int, list[int]]:
-    """User -> items of (u, v, k) entries sorted by (u, v)."""
-    users, starts = np.unique(entries[:, 0], return_index=True)
-    items = entries[:, 1].tolist()
-    bounds = starts.tolist() + [len(items)]
-    return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
+        """User -> held-out test items: the form `perfbench/check.py` reads."""
+        users, starts = np.unique(self.test[:, 0], return_index=True)
+        items = self.test[:, 1].tolist()
+        bounds = starts.tolist() + [len(items)]
+        return {u: items[a:b] for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
 
 
 @dataclass
@@ -299,7 +290,8 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
     train = InteractionTensor.from_entries(
         tensor.m1, tensor.m2, tensor.entries[keep], tensor.behavior_labels
     )
-    return HoldoutSets(train, tensor.entries, target_at[val], target_at[test])
+    held = [tensor.entries[target_at[np.sort(at)]] for at in (val, test)]
+    return HoldoutSets(train, *held)
 
 
 def item_popularity(tensor: InteractionTensor) -> np.ndarray:

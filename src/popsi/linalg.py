@@ -146,25 +146,17 @@ def _rayleigh_ritz(Q: np.ndarray, At: sp.csr_matrix, report: dict, r: int, log: 
     return np.ascontiguousarray(Q @ Ub[:, :r])
 
 
-def project_out(H: np.ndarray, P: sp.spmatrix | np.ndarray) -> np.ndarray:
-    """H minus its projection onto range(P): H - P (P^T P)^-1 P^T H.
-
-    Empty columns of P are dropped first; if every column is empty the
-    projection is the identity.
+def project_out(H: np.ndarray, P: sp.spmatrix) -> np.ndarray:
+    """H minus its projection onto range(P), for the sparse one-hot P of
+    `build_popularity_features`: H - P (P^T P)^-1 P^T H, where P^T P is the
+    diagonal of column counts. Empty columns of P are dropped first.
     """
     if P.shape[0] != H.shape[0]:
         raise ValueError(f"row mismatch: P has {P.shape[0]}, H has {H.shape[0]}")
-    Pd = P.toarray() if hasattr(P, "toarray") else np.asarray(P, dtype=float)
-    nonempty = np.abs(Pd).sum(axis=0) > 0
-    Pd = Pd[:, nonempty]
-    if Pd.shape[1] == 0:
-        return H.copy()
-    G = Pd.T @ Pd
-    # one-hot feature matrices give a diagonal Gram matrix; invert it directly
-    diag = np.diag(G)
-    if not np.allclose(G, np.diag(diag)):
-        raise ValueError("P^T P must be diagonal (one-hot feature columns)")
-    return H - Pd @ ((Pd.T @ H) / diag[:, None])
+    Pd = P.toarray()
+    counts = Pd.sum(axis=0)
+    Pd, counts = Pd[:, counts > 0], counts[counts > 0]
+    return H - Pd @ ((Pd.T @ H) / counts[:, None])
 
 
 def orthonormalize(H: np.ndarray) -> np.ndarray:

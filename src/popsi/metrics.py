@@ -74,10 +74,12 @@ def _mean_metrics(items, pos_rows, pos_items, n_users: int, k_values: Sequence[i
     rated = n_pos > 0
     hits = ((keys[np.searchsorted(keys, query)] == query) & (items >= 0))[rated]
     n_pos, lengths = n_pos[rated], np.count_nonzero(items[rated] >= 0, axis=1)
+    most = int(n_pos.max(initial=0))
+    width = max(items.shape[1], most)  # a longer K reads the same numbers as this one
     recall, ndcg = {}, {}
     for k in k_values:
-        discounts = 1.0 / np.log2(np.arange(2, k + 2))
-        ideal = np.array([np.sum(discounts[:i]) for i in range(1, k + 1)])
+        discounts = 1.0 / np.log2(np.arange(2, min(k, width) + 2))
+        ideal = np.array([np.sum(discounts[:i]) for i in range(1, min(k, most) + 1)])
         gains = hits[:, :k] * discounts[: min(k, hits.shape[1])]
         lengths_k, dcg = np.minimum(lengths, k), np.empty(len(gains))
         # np.sum groups its additions by the length summed, so each row sums
@@ -184,30 +186,31 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
 
 def evaluate(
     score_fn: Callable[[np.ndarray], np.ndarray],
-    positives: Mapping[int, Sequence[int]],
+    held: np.ndarray,
     train: InteractionTensor,
     k_values: Sequence[int],
     config: dict | None = None,
     log: dict | None = None,
 ) -> EvalReport:
-    """Run the full metric suite for one block scorer against held-out positives.
+    """Run the full metric suite for one block scorer against held-out entries.
 
-    `score_fn(users)` returns one score row per user of an index array; the
-    users of `positives` are scored once, in blocks of about SCORE_BLOCK
-    scores, and the top-K lists and the PRI rank quantiles come from the same
-    block. The training tensor `train` gives the rest: the means run over its
-    m1 users, PRI reads its target-slice item counts, and each user's target
-    entries in it are removed from the user's candidates before ranking (PRI
-    ranks only within Pos_u and ignores them). When `log` is given it gets
-    the seconds spent in each stage (`seconds`), the users whose score row is
-    all zero, the rows ranked by a whole-row sort and the users PRI skips.
+    `held` holds N x 3 (u, v, k) entries, unique and sorted by (u, v), as
+    `HoldoutSets.val`/`test` do; its users are scored once by `score_fn(users)`,
+    which returns one score row per user of an index array, in blocks of about
+    SCORE_BLOCK scores. The top-K lists (at most m2 long, whatever the K) and
+    the PRI rank quantiles come from the same block. The training tensor `train`
+    gives the rest: the means run over its m1 users, PRI reads its target-slice
+    item counts, and each user's target entries in it are removed from the
+    user's candidates before ranking (PRI ranks only within Pos_u and ignores
+    them). When `log` is given it gets the seconds spent in each stage
+    (`seconds`), the zero-score users, the whole-row sorts and the users PRI skips.
     """
     clock = time.perf_counter
     seconds = dict.fromkeys(("score", "rank", "metrics", "pri"), 0.0)
     stats = {"zero_score_users": 0, "whole_row_sorts": 0}
-    test_users = np.array(sorted(positives), dtype=np.int64)
-    pos_rows, pos_items = _positive_pairs(positives, test_users.tolist())
-    items = np.empty((len(test_users), max(k_values)), dtype=np.int64)
+    test_users, pos_rows = np.unique(held[:, 0].astype(np.int64), return_inverse=True)
+    pos_items = held[:, 1].astype(np.int64)
+    items = np.empty((len(test_users), min(max(k_values), train.m2)), dtype=np.int64)
     pos_scores = np.empty(len(pos_rows))
     rows = max(1, SCORE_BLOCK // train.m2)
     for start in range(0, len(test_users), rows):

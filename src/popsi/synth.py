@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
-from popsi.data import InteractionTensor
+from popsi.data import InteractionTensor, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ def generate(cfg: SynthConfig) -> InteractionTensor:
     labels = [f"behavior_{k}" for k in range(len(cfg.densities))]
     labels[0] = "purchase"
 
-    slices = []
+    parts = []  # the (u, v, k) entries of each slice, then the hyped target entries
     for k, density in enumerate(cfg.densities):
         core = np.eye(cfg.latent_rank) + 0.2 * rng.standard_normal(
             (cfg.latent_rank, cfg.latent_rank)
@@ -42,22 +40,14 @@ def generate(cfg: SynthConfig) -> InteractionTensor:
         n_keep = max(1, int(round(density * cfg.m1 * cfg.m2)))
         flat = np.argpartition(scores.ravel(), -n_keep)[-n_keep:]
         rows, cols = np.unravel_index(flat, scores.shape)
-        mat = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(cfg.m1, cfg.m2)
-        )
-        slices.append(mat)
+        parts.append(np.column_stack([rows, cols, np.full(n_keep, k)]))
 
     if cfg.confound_item_fraction > 0 and cfg.confound_strength > 0:
         n_hype = max(1, int(round(cfg.confound_item_fraction * cfg.m2)))
         hype_items = rng.choice(cfg.m2, size=n_hype, replace=False)
         hits = rng.random((cfg.m1, n_hype)) < cfg.confound_strength
         rows, picked = np.nonzero(hits)
-        cols = hype_items[picked]
-        extra = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(cfg.m1, cfg.m2)
-        )
-        target = slices[0] + extra
-        target.data = np.ones_like(target.data)
-        slices[0] = target.tocsr()
+        parts.append(np.column_stack([rows, hype_items[picked], np.zeros_like(rows)]))
 
-    return InteractionTensor(cfg.m1, cfg.m2, slices, labels)
+    entries = _sorted_unique(np.concatenate(parts), (cfg.m1, cfg.m2, len(labels)))
+    return InteractionTensor.from_entries(cfg.m1, cfg.m2, entries, labels)

@@ -329,6 +329,46 @@ def test_recommend_warns_when_candidates_run_short(workspace, capsys):
     assert f"warning: only {n} candidates for u0" in captured.err
 
 
+def test_k_above_the_item_count_ranks_at_most_m2_items(workspace, capsys, monkeypatch):
+    """A K above the item count is padding: `rank_items` sees K <= m2, and evaluate's
+    numbers and recommend's output are those of K = m2."""
+    import popsi.cli
+    import popsi.metrics
+    from popsi.model import rank_items
+
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
+    m2 = len((out / "items.txt").read_text().split())
+    users = (out / "users.txt").read_text().split()
+    assert run(["evaluate", "--config", cfg, "--k", m2]) == 0
+    capsys.readouterr()
+    assert run(["recommend", "--config", cfg, "--k", m2, *users]) == 0
+    at_m2, listed = json.loads((out / "report.json").read_text()), capsys.readouterr()
+    assert "warning: only" in listed.err  # users with training items have fewer candidates
+
+    def spy(scores, users, K, *args):
+        assert K <= m2
+        return rank_items(scores, users, K, *args)
+
+    monkeypatch.setattr(popsi.metrics, "rank_items", spy)
+    monkeypatch.setattr(popsi.cli, "rank_items", spy)
+    big = 10**6
+    assert run(["evaluate", "--config", cfg, "--k", big]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for name in ("recall", "ndcg"):
+        assert report.pop(f"{name}_at_{big}") == at_m2.pop(f"{name}_at_{m2}")
+    assert report == at_m2
+    capsys.readouterr()
+    assert run(["recommend", "--config", cfg, "--k", big, *users]) == 0
+    got = capsys.readouterr()
+    assert got.out == listed.out
+    # the warning compares with the K asked for: every list is short of a million
+    lines = [line.split("\t")[0] for line in got.out.splitlines()]
+    assert got.err == "".join(f"warning: only {lines.count(u)} candidates for {u}\n" for u in users)
+
+
 def test_recommend_rejects_model_of_other_data(workspace, capsys):
     from conftest import random_binary_tensor
     from popsi.linalg import SvdOptions
@@ -529,7 +569,7 @@ def test_p_sweep_matches_per_point_fits(workspace, monkeypatch, flags):
     expected = ["param,value,ndcg_at_50,pri"]
     for p in (0.1, 0.3, 0.5):
         model = fit(holdout.train, 6, p, config.use_si, config.use_pop, config.svd_opts())
-        report = evaluate(partial(score_user, model), holdout.val_positives, holdout.train, [50])
+        report = evaluate(partial(score_user, model), holdout.val, holdout.train, [50])
         expected.append(f"p,{p:g},{report.ndcg[50]:.6f},{report.pri:.6f}")
     assert (tmp_path / "out" / "sweep.csv").read_text().splitlines() == expected
 
@@ -707,6 +747,8 @@ def test_missing_tensor_asks_for_ingest(workspace, capsys):
         ("p", 1, "p must be of type float, got 1"),
         ("k_values", [20, "50"], "k_values must be of type list[int], got [20, '50']"),
         ("behaviors", "purchase", "behaviors must be of type list[str], got 'purchase'"),
+        ("train_ratio", float("nan"), "train_ratio must be a finite number, got nan"),
+        ("p", float("inf"), "p must be a finite number, got inf"),
         (None, [1], "expected a JSON object of settings"),
         (None, '{"r": 5', "expected a JSON object of settings: "
                           "Expecting ',' delimiter: line 1 column 8 (char 7)"),
@@ -714,7 +756,7 @@ def test_missing_tensor_asks_for_ingest(workspace, capsys):
                           "Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["unknown", "str-int", "str-seed", "bool-int", "int-bool", "int-float", "list-element",
-         "str-list", "not-an-object", "corrupt", "key-value"],
+         "str-list", "nan-ratio", "infinite-p", "not-an-object", "corrupt", "key-value"],
 )
 def test_recorded_config_is_checked(workspace, capsys, key, value, message):
     """Each bad settings file exits 2 with its path, as the run's effective_config.json
@@ -738,6 +780,27 @@ def test_recorded_config_is_checked(workspace, capsys, key, value, message):
             assert run([*command, "--out", out, *given]) == 2
             assert capsys.readouterr().err == f"error: {path}: {message}\n"
         recorded.write_text(good)
+    assert not (out / "model.bin").exists()
+
+
+def test_non_finite_settings_exit_2_before_anything_is_written(workspace, capsys):
+    """JSON's NaN and Infinity parse as floats; a settings file holding one is refused
+    with its path and key, so ingest records no NaN ratio and fit writes no model."""
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    settings = json.loads(cfg.read_text())
+    nan_ratio = tmp_path / "nan.json"
+    nan_ratio.write_text(json.dumps(settings)[:-1] + ', "train_ratio": NaN}')
+    assert run(["ingest", "--config", nan_ratio]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {nan_ratio}: train_ratio must be a finite number, got nan\n"
+    assert captured.out == "" and not out.exists()
+    assert run(["ingest", "--config", cfg]) == 0
+    minus_inf = tmp_path / "p.json"
+    minus_inf.write_text('{"p": -Infinity}')
+    capsys.readouterr()
+    assert run(["fit", "--config", minus_inf]) == 2
+    assert capsys.readouterr().err == f"error: {minus_inf}: p must be a finite number, got -inf\n"
     assert not (out / "model.bin").exists()
 
 

@@ -271,16 +271,15 @@ def test_split_counts_floor_rule():
     # 10 target entries at (.8,.1,.1) -> 8/1/1
     tensor = _tensor(_lines_grid(2, 5))
     hold = split_holdout(tensor, SplitSpec((0.8, 0.1, 0.1), rng_seed=7))
-    n_val = sum(len(v) for v in hold.val_positives.values())
-    n_test = sum(len(v) for v in hold.test_positives.values())
-    assert (hold.train.target.nnz, n_val, n_test) == (8, 1, 1)
+    assert (hold.train.target.nnz, len(hold.val), len(hold.test)) == (8, 1, 1)
 
 
 def test_split_degenerate_all_train():
     tensor = _tensor(_lines_grid(2, 3))
     hold = split_holdout(tensor, SplitSpec((1.0, 0.0, 0.0), rng_seed=0))
     assert hold.train.target.nnz == 6
-    assert hold.val_positives == {} and hold.test_positives == {}
+    assert hold.val.shape == hold.test.shape == (0, 3)
+    assert hold.test_positives == {}
 
 
 def test_split_deterministic():
@@ -288,15 +287,21 @@ def test_split_deterministic():
     spec = SplitSpec(rng_seed=42)
     a, b = split_holdout(tensor, spec), split_holdout(tensor, spec)
     assert (a.train.target != b.train.target).nnz == 0
-    assert a.val_positives == b.val_positives
+    assert np.array_equal(a.val, b.val) and np.array_equal(a.test, b.test)
     assert a.test_positives == b.test_positives
 
 
-def test_split_builds_positives_on_first_read():
-    hold = split_holdout(_tensor(_lines_grid(3, 4)), SplitSpec(rng_seed=1))
-    assert "val_positives" not in vars(hold) and "test_positives" not in vars(hold)
-    assert hold.test_positives is hold.test_positives
-    assert "val_positives" not in vars(hold)
+def test_split_holds_sorted_held_out_entries():
+    tensor = _tensor(_lines_grid(4, 5) + ["u0,i0,click", "u3,i4,click"])
+    hold = split_holdout(tensor, SplitSpec((0.4, 0.3, 0.3), rng_seed=1))
+    for held in (hold.val, hold.test):
+        assert held.dtype == np.int32 and held.shape[1] == 3 and (held[:, 2] == 0).all()
+        keys = held[:, 0] * tensor.m2 + held[:, 1]
+        assert (np.diff(keys) > 0).all()  # unique and sorted by (u, v)
+    # test_positives is the per-user form of `test`
+    assert hold.test_positives == {
+        u: [v for u2, v, _ in hold.test.tolist() if u2 == u] for u in set(hold.test[:, 0].tolist())
+    }
 
 
 def test_split_rejects_fewer_than_three_target_entries():
@@ -311,6 +316,8 @@ def test_split_spec_validation():
         SplitSpec((0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         SplitSpec((-0.1, 1.0, 0.1))
+    with pytest.raises(ValueError, match="must lie in"):
+        SplitSpec((float("nan"), 0.5, 0.5))
 
 
 @settings(deadline=None, max_examples=40)
@@ -328,8 +335,8 @@ def test_split_is_a_partition(entries, seed):
     all_entries = set(zip(coo.row.tolist(), coo.col.tolist()))
     tr = hold.train.target.tocoo()
     train_set = set(zip(tr.row.tolist(), tr.col.tolist()))
-    val_set = {(u, v) for u, vs in hold.val_positives.items() for v in vs}
-    test_set = {(u, v) for u, vs in hold.test_positives.items() for v in vs}
+    val_set = {(u, v) for u, v, _ in hold.val.tolist()}
+    test_set = {(u, v) for u, v, _ in hold.test.tolist()}
 
     assert train_set | val_set | test_set == all_entries
     assert not (train_set & val_set) and not (train_set & test_set) and not (val_set & test_set)
@@ -349,8 +356,7 @@ def test_split_train_is_tensor_minus_held_out(entries, seed):
     tensor = _tensor(lines + [f"u{u},i{v},{labels[k]}" for u, v, k in entries], labels)
     hold = split_holdout(tensor, SplitSpec(rng_seed=seed))
 
-    held = {(u, v, 0) for positives in (hold.val_positives, hold.test_positives)
-            for u, vs in positives.items() for v in vs}
+    held = {tuple(e) for e in np.concatenate([hold.val, hold.test]).tolist()}
     full = [tuple(e) for e in tensor.entries.tolist()]
     train = [tuple(e) for e in hold.train.entries.tolist()]
     assert full == sorted(set(full)) and held <= set(full)

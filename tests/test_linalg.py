@@ -16,6 +16,7 @@ from popsi.linalg import (
     project_out,
     truncated_svd_left,
 )
+from popsi.model import build_popularity_features
 
 
 def two_qr_svd_left(A, opts):
@@ -283,10 +284,19 @@ def test_project_out_empty_columns_identity():
     assert np.array_equal(project_out(H, P), H)
 
 
-def test_project_out_rejects_overlapping_columns():
-    P = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError, match="diagonal"):
-        project_out(np.ones((3, 1)), P)
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.5, 0.9999])
+def test_project_out_is_the_gram_formula_on_popularity_features(p):
+    rng = np.random.default_rng(5)
+    m2 = 60
+    P = build_popularity_features(rng.integers(0, 20, m2), p).P
+    H = random_orthonormal(rng, m2, 7)
+    # the general formula H - P (P^T P)^-1 P^T H on P's nonempty columns
+    dense = P.toarray()
+    Pd = dense[:, dense.sum(axis=0) > 0]
+    gram = Pd.T @ Pd
+    assert np.array_equal(gram, np.diag(np.diag(gram)))  # one-hot columns
+    assert Pd.shape[1] == (1 if p == 0.9999 else 2)  # every item popular: column 1 is empty
+    assert np.array_equal(project_out(H, P), H - Pd @ ((Pd.T @ H) / np.diag(gram)[:, None]))
 
 
 def test_project_out_row_mismatch():

@@ -307,14 +307,17 @@ def test_evaluate_matches_per_user_reference(seed, block_rows):
     k_values = sorted({int(rng.integers(1, m2 + 5)), int(rng.integers(1, m2 + 5))})
     tensor = InteractionTensor(n_users, m2, [sp.csr_matrix(train.astype(float))], ["t"])
     pop = train.sum(axis=0)  # PRI reads the training tensor's item counts
+    entries = sorted((u, v, 0) for u, vs in positives.items() for v in vs)
+    held = np.array(entries, dtype=np.int32).reshape(-1, 3)  # sorted by (u, v), as a split's
     log = {}
     with mock.patch.object(metrics, "SCORE_BLOCK", block_rows * m2):
-        report = evaluate(lambda users: scores[users], positives, tensor, k_values, log=log)
+        report = evaluate(lambda users: scores[users], held, tensor, k_values, log=log)
     recall, ndcg, pri_value = ref_evaluate(scores, positives, train, n_users, pop, k_values)
     assert report.recall == recall
     assert report.ndcg == ndcg
     assert report.pri == pri_value
-    skipped = sum(len(set(p)) < 2 for p in positives.values())
+    # the held-out entries name the test users: one without an entry is not one
+    skipped = sum(len(set(p)) == 1 for p in positives.values())
     assert report.users_skipped_pri == log["users_skipped_pri"] == skipped
-    tested = sorted(positives)
+    tested = sorted(u for u, p in positives.items() if p)
     assert log["zero_score_users"] == int(np.sum(~scores[tested].any(axis=1)))
