@@ -9,10 +9,8 @@ import argparse
 
 import numpy as np
 
-from popsi.baselines import VARIANT_FLAGS, VARIANT_NAMES, run_variant
+from popsi.baselines import VARIANT_NAMES, run_variant
 from popsi.data import SplitSpec, split_holdout
-from popsi.linalg import SvdOptions
-from popsi.model import estimate_subspaces
 from popsi.synth import SynthConfig, generate
 
 
@@ -29,15 +27,10 @@ def main():
     for seed in range(args.seeds):
         tensor = generate(SynthConfig(m1=args.users, m2=args.items, seed=seed))
         split = SplitSpec(rng_seed=seed)
+        # one split for every variant, so that `fit` estimates one SVD pair per use_si value
         holdout = split_holdout(tensor, split)
-        # one SVD pair per use_si value serves both use_pop settings
-        opts = SvdOptions(rank=args.r, rng_seed=seed)
-        pairs = {use_si: estimate_subspaces(holdout.train.with_side_info(use_si), args.r, opts)
-                 for use_si in (False, True)}
         for name in VARIANT_NAMES:
-            spaces = pairs[VARIANT_FLAGS[name][0]] if name in VARIANT_FLAGS else None
-            rep = run_variant(name, tensor, split, r=args.r, p=args.p, holdout=holdout,
-                              spaces=spaces)
+            rep = run_variant(name, tensor, split, r=args.r, p=args.p, holdout=holdout)
             rows[name].append(
                 [rep.recall[20], rep.recall[50], rep.ndcg[20], rep.ndcg[50], rep.pri]
             )

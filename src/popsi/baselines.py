@@ -10,7 +10,7 @@ import numpy as np
 from popsi.data import HoldoutSets, InteractionTensor, SplitSpec, item_popularity, split_holdout
 from popsi.linalg import SvdOptions
 from popsi.metrics import EvalReport, evaluate
-from popsi.model import FeatureSpaces, fit, score_user
+from popsi.model import fit, score_user
 
 # variant name -> (use_si, use_pop); ItemPop has no fit flags
 VARIANT_FLAGS = {
@@ -35,13 +35,10 @@ def run_variant(
     p: float,
     k_values: Sequence[int] = (20, 50),
     holdout: HoldoutSets | None = None,
-    spaces: FeatureSpaces | None = None,
 ) -> EvalReport:
     """Fit one named variant and evaluate it on the held-out positives.
 
-    `spaces`, when given, are the subspaces estimated on the training tensor
-    cut by the variant's `use_si` flag (`with_side_info`); the fit then skips
-    its SVDs. ItemPop ignores them.
+    Variants run on one `holdout` share an SVD pair per `use_si` value (see `fit`).
     """
     if name not in VARIANT_NAMES:
         raise ValueError(f"unknown variant {name!r}; expected one of {VARIANT_NAMES}")
@@ -53,10 +50,8 @@ def run_variant(
         use_si = use_pop = False
     else:
         use_si, use_pop = VARIANT_FLAGS[name]
-        model = fit(
-            holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
-            opts=SvdOptions(rank=r, rng_seed=split.rng_seed), spaces=spaces,
-        )
+        model = fit(holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
+                    opts=SvdOptions(rank=r, rng_seed=split.rng_seed))
         score_fn = partial(score_user, model)
 
     config = {"variant": name, "r": r, "p": p, "use_si": use_si, "use_pop": use_pop,

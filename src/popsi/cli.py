@@ -19,7 +19,6 @@ import numpy as np
 from popsi.data import (
     SplitSpec,
     build_tensor,
-    item_popularity,
     parse_interactions,
     read_index,
     read_tensor,
@@ -30,8 +29,7 @@ from popsi.data import (
 )
 from popsi.linalg import SvdOptions
 from popsi.metrics import SCORE_BLOCK, evaluate
-from popsi.model import (build_popularity_features, estimate_subspaces, fit, load_model,
-                         rank_items, save_model, score_user)
+from popsi.model import fit, load_model, rank_items, save_model, score_user
 
 
 @dataclass
@@ -63,22 +61,28 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _read_settings(path: str | Path) -> dict:
     """A settings file (`--config` or effective_config.json): a JSON object of RunConfig
-    fields, each of exact type (a bool is not an int, list elements included)."""
+    fields, checked by `_check_settings`."""
     try:
         settings = json.loads(Path(path).read_text())
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: expected a JSON object of settings: {e}") from None
     if not isinstance(settings, dict):
         raise ValueError(f"{path}: expected a JSON object of settings")
+    return _check_settings(path, settings)
+
+
+def _check_settings(source, settings: dict) -> dict:
+    """`settings`, if each key is a RunConfig field and each value finite and of its exact
+    type (a bool is not an int, list elements included); else a ValueError naming `source`."""
     for key, value in settings.items():
         if key not in _FIELD_TYPES:
-            raise ValueError(f"{path}: unknown key {key!r}")
+            raise ValueError(f"{source}: unknown key {key!r}")
         kind, _, element = _FIELD_TYPES[key].rstrip("]").partition("[")
         elements = value if element and isinstance(value, list) else []
         if type(value).__name__ != kind or any(type(v).__name__ != element for v in elements):
-            raise ValueError(f"{path}: {key} must be of type {_FIELD_TYPES[key]}, got {value!r}")
-        if type(value) is float and not math.isfinite(value):  # JSON's NaN and Infinity
-            raise ValueError(f"{path}: {key} must be a finite number, got {value!r}")
+            raise ValueError(f"{source}: {key} must be of type {_FIELD_TYPES[key]}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):  # JSON's NaN and Infinity, --p nan
+            raise ValueError(f"{source}: {key} must be a finite number, got {value!r}")
     return settings
 
 
@@ -237,28 +241,22 @@ def _grid_values(param: str, text: str) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig, args: dict) -> int:
-    """Fit and validate each grid value. A p sweep estimates the subspaces once,
-    because p only acts after the SVDs; an r sweep refits every point."""
+    """Fit and validate each grid value; `fit` reuses one SVD pair across a p sweep."""
     param, values = args["param"], _grid_values(args["param"], args["values"])
     opts = cfg.svd_opts()  # a bad rank fails the command, not every grid point
     out = Path(cfg.out)
     holdout = split_holdout(read_tensor(out / "tensor.bin"), cfg.split_spec())
-    train = holdout.train
-    spaces = None
     rows = []
     status = 0
     for value in dict.fromkeys(values):
         r = int(value) if param == "r" else cfg.r
         p = float(value) if param == "p" else cfg.p
         try:
-            if spaces is None or param == "r":
-                if cfg.use_pop:  # fit's check of p, made before the SVD pair it would waste
-                    build_popularity_features(item_popularity(train), p)
-                spaces = estimate_subspaces(train.with_side_info(cfg.use_si), r, opts)
-            model = fit(train, r, p, cfg.use_si, cfg.use_pop, opts, spaces=spaces)
+            model = fit(holdout.train, r, p, cfg.use_si, cfg.use_pop, opts)
             # sweeps tune on the validation split
-            report = evaluate(partial(score_user, model), holdout.val, train, [50])
-            rows.append(f"{param},{value:g},{report.ndcg[50]:.6f},{report.pri:.6f}\n")
+            report = evaluate(partial(score_user, model), holdout.val, holdout.train, [50])
+            pri = "" if report.pri is None else f"{report.pri:.6f}"  # None: no user to rank
+            rows.append(f"{param},{value:g},{report.ndcg[50]:.6f},{pri}\n")
         except (ValueError, RuntimeError) as e:  # np.linalg.LinAlgError is a ValueError
             print(f"error: {param}={value} failed: {e}", file=sys.stderr)
             rows.append(f"{param},{value:g},,\n")
@@ -314,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     try:
         settings = _read_settings(args["config"]) if "config" in args else {}
-        settings.update((key, value) for key, value in args.items() if key in _FIELD_TYPES)
+        flags = {key: value for key, value in args.items() if key in _FIELD_TYPES}
+        settings.update(_check_settings("command line", flags))
         return args["handler"](_resolve_config(settings, args["from_run"]), args)
     except (ValueError, OSError, RuntimeError) as e:  # RuntimeError: an SVD or debias failed
         print(f"error: {e}", file=sys.stderr)

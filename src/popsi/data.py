@@ -76,9 +76,11 @@ class InteractionTensor:
 
     def with_side_info(self, use_si: bool) -> InteractionTensor:
         """The tensor a model is fitted on: this one, or its target slice alone when
-        `use_si` is off."""
-        if use_si:
-            return self
+        `use_si` is off, built once, so that fits without side information share it."""
+        return self if use_si else self._target_only
+
+    @cached_property
+    def _target_only(self) -> InteractionTensor:
         entries = self.entries[self.entries[:, 2] == 0]
         return InteractionTensor.from_entries(self.m1, self.m2, entries, self.behavior_labels[:1])
 

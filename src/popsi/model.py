@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,8 @@ if TYPE_CHECKING:
 
 DEFAULT_RANK = 200
 DEFAULT_POPULAR_FRACTION = 0.2
+# tensor -> ((r, rng_seed), spaces): the last SVD pair `fit` estimated on it, dropped with it
+_LAST_SPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -152,30 +155,28 @@ def fit(
     use_pop: bool = True,
     opts: SvdOptions | None = None,
     log: dict | None = None,
-    spaces: FeatureSpaces | None = None,
 ) -> PreferenceModel:
     """Full fitting pipeline; ablation flags drop side information and/or the debias step.
 
     Items are labelled popular by their counts in the target slice of
-    `tensor`. `spaces`, when given, are the subspaces `estimate_subspaces`
-    returned for `tensor.with_side_info(use_si)` at rank r; they are only
-    debiased and turned into cores, so one pair serves every p. When `log`
-    is given it is filled with per-step timings, the refined width, the two
-    SVD reports (`svd.mode1`, `svd.mode2`, when the SVDs ran) and the debias
-    report (`debias`, None when `use_pop` is off).
+    `tensor`. p and the debias step act only after the SVDs, so a fit that
+    repeats r and the seed of the last fit on a tensor reuses its SVD pair.
+    When `log` is given it is filled with per-step timings, the refined
+    width, the two SVD reports (`svd.mode1`, `svd.mode2`, when the SVDs ran)
+    and the debias report (`debias`, None when `use_pop` is off).
     """
     tensor = tensor.with_side_info(use_si)
+    opts = opts or SvdOptions(rank=r)
     debias_log = {} if use_pop else None
     # built before the SVDs, so that a bad p fails before them
     features = build_popularity_features(item_popularity(tensor), p) if use_pop else None
     t0 = time.perf_counter()
-    if spaces is None:
+    key, spaces = _LAST_SPACES.get(tensor, (None, None))
+    if key != (r, opts.rng_seed):
         svd_log = None if log is None else log.setdefault("svd", {})
-        spaces = estimate_subspaces(tensor, r, opts or SvdOptions(rank=r), svd_log)
-    elif (spaces.r, spaces.W.shape[0], spaces.H.shape[0]) != (r, tensor.m1, tensor.m2):
-        raise ValueError(f"spaces of rank {spaces.r} for {spaces.W.shape[0]} users and "
-                         f"{spaces.H.shape[0]} items do not fit r={r} on a "
-                         f"{tensor.m1} x {tensor.m2} tensor")
+        spaces = estimate_subspaces(tensor, r, opts, svd_log)
+        spaces.W.flags.writeable = spaces.H.flags.writeable = False  # shared by later fits
+        _LAST_SPACES[tensor] = ((r, opts.rng_seed), spaces)
     t1 = time.perf_counter()
     if use_pop:
         spaces = debias_item_space(spaces, features.P, debias_log)

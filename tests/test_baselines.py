@@ -9,8 +9,7 @@ from popsi.baselines import (
     run_variant,
 )
 from popsi.data import InteractionTensor, SplitSpec, split_holdout
-from popsi.linalg import SvdOptions
-from popsi.model import estimate_subspaces, rank_items
+from popsi.model import rank_items
 
 
 def test_itempop_sort_by_count():
@@ -82,16 +81,24 @@ def test_itempop_has_maximal_pri():
     assert reports["itempop"].pri >= reports["popsi_full"].pri
 
 
-@pytest.mark.parametrize("name", sorted(VARIANT_FLAGS))
-def test_run_variant_with_given_spaces_matches_refit(name):
-    rng = np.random.default_rng(4)
-    tensor = random_binary_tensor(rng, 30, 24, 3, density=0.25)
+def test_run_variant_on_one_holdout_estimates_one_pair_per_use_si(monkeypatch):
+    """The four variants run on one holdout estimate one SVD pair per use_si value, and
+    report what each variant fitted on a split of its own does."""
+    import popsi.model
+
+    tensor = random_binary_tensor(np.random.default_rng(4), 30, 24, 3, density=0.25)
     split = SplitSpec(rng_seed=6)
     holdout = split_holdout(tensor, split)
-    use_si = VARIANT_FLAGS[name][0]
-    spaces = estimate_subspaces(holdout.train.with_side_info(use_si), 4,
-                                SvdOptions(rank=4, rng_seed=6))
-    refit = run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10])
-    reused = run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10], holdout=holdout,
-                         spaces=spaces)
-    assert reused == refit
+    estimate, fitted_on = popsi.model.estimate_subspaces, []
+
+    def counted(t, *args, **kwargs):
+        fitted_on.append(t.n)
+        return estimate(t, *args, **kwargs)
+
+    monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
+    reused = {name: run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10],
+                                holdout=holdout) for name in VARIANT_FLAGS}
+    assert fitted_on == [1, 3]  # matrix variants on the target slice, then tensor variants
+    for name, report in reused.items():
+        assert report == run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10])
+    assert len(fitted_on) == 2 + len(VARIANT_FLAGS)  # each split of its own: a pair per fit

@@ -532,8 +532,24 @@ def test_sweep_propagates_programming_errors(workspace, monkeypatch):
         run(["sweep", "--config", cfg, "--param", "r", "--values", "4"])
 
 
+def test_sweep_leaves_pri_blank_when_no_user_can_be_ranked(tmp_path):
+    """A validation split where no user holds two entries has no PRI: the sweep writes
+    a blank PRI cell beside the NDCG and exits 0."""
+    tensor = generate(SynthConfig(m1=60, m2=40, seed=0))
+    log = tmp_path / "small.csv"
+    log.write_text("\n".join(tensor_to_log_lines(tensor, ["purchase", "click", "collect"])))
+    out = tmp_path / "s"
+    assert run(["ingest", "--input", log, "--behaviors", "purchase,click,collect",
+                "--out", out]) == 0
+    assert run(["fit", "--out", out, "--r", 5, "--seed", 1]) == 0
+    assert run(["sweep", "--out", out, "--param", "p", "--values", 0.2]) == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    param, value, ndcg, pri = row.split(",")
+    assert (param, value, pri) == ("p", "0.2", "") and float(ndcg) > 0
+
+
 def _count_subspace_estimates(monkeypatch) -> list:
-    """Every estimate_subspaces call, by the CLI itself or inside fit."""
+    """Every estimate_subspaces call `fit` makes, by its rank."""
     import popsi.model
 
     calls = []
@@ -543,7 +559,6 @@ def _count_subspace_estimates(monkeypatch) -> list:
         return estimate(*args, **kwargs)
 
     estimate = popsi.model.estimate_subspaces
-    monkeypatch.setattr("popsi.cli.estimate_subspaces", counted)
     monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
     return calls
 
@@ -802,6 +817,26 @@ def test_non_finite_settings_exit_2_before_anything_is_written(workspace, capsys
     assert run(["fit", "--config", minus_inf]) == 2
     assert capsys.readouterr().err == f"error: {minus_inf}: p must be a finite number, got -inf\n"
     assert not (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flags_exit_2_before_anything_is_written(workspace, capsys, value):
+    """argparse reads `--p nan` and `--p inf` as floats; flags are checked as a settings
+    file is, so ingest records no NaN and fit leaves the run's settings as they were."""
+    tmp_path, cfg = workspace
+    out = tmp_path / "out"
+    message = f"error: command line: p must be a finite number, got {value}\n"
+    assert run(["ingest", "--config", cfg, "--p", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == "" and not out.exists()
+    assert run(["ingest", "--config", cfg]) == 0
+    recorded = (out / "effective_config.json").read_bytes()
+    for flags in [["--p", value], ["--p", value, "--no-pop"]]:  # --no-pop: p is never read
+        capsys.readouterr()
+        assert run(["fit", "--out", out, *flags]) == 2
+        assert capsys.readouterr().err == message
+        assert (out / "effective_config.json").read_bytes() == recorded
+        assert not (out / "model.bin").exists()
 
 
 def test_effective_config_is_a_config_file(workspace):

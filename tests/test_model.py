@@ -500,15 +500,39 @@ def test_model_trailing_bytes(tmp_path):
         load_model(path)
 
 
-def test_fit_rejects_spaces_of_other_shape():
-    tensor = random_binary_tensor(np.random.default_rng(5), 12, 9, 2, density=0.4)
-    spaces = estimate_subspaces(tensor, 3, SvdOptions(rank=3))
-    with pytest.raises(ValueError, match="do not fit r=4"):
-        fit(tensor, r=4, spaces=spaces)
-    for m1, m2 in [(12, 8), (11, 9)]:  # another item count, another user count
-        other = random_binary_tensor(np.random.default_rng(6), m1, m2, 2, density=0.4)
-        with pytest.raises(ValueError, match=f"{m1} x {m2} tensor"):
-            fit(other, r=3, spaces=spaces)
+def test_fit_reuses_the_svd_pair_of_the_last_fit_on_a_tensor(monkeypatch):
+    """Fits on one tensor that differ only in p or use_pop estimate one SVD pair and equal
+    fresh fits bit for bit; another r, seed or use_si estimates again."""
+    import popsi.model
+
+    def make():  # the same entries in a new tensor, on which no fit has run
+        return random_binary_tensor(np.random.default_rng(5), 12, 9, 2, density=0.4)
+
+    estimate, calls = popsi.model.estimate_subspaces, []
+
+    def counted(t, r, opts, log=None):
+        calls.append((t.n, r, opts.rng_seed))
+        return estimate(t, r, opts, log)
+
+    monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
+    tensor, opts = make(), SvdOptions(rank=3, rng_seed=1)
+    variants = [{"p": 0.2}, {"p": 0.4}, {"p": 0.4, "use_pop": False}]
+    logs = [{} for _ in variants]
+    models = [fit(tensor, r=3, opts=opts, log=log, **kw) for kw, log in zip(variants, logs)]
+    assert calls == [(2, 3, 1)]
+    assert ["svd" in log for log in logs] == [True, False, False]
+    for kw, model in zip(variants, models):
+        fresh = fit(make(), r=3, opts=opts, **kw)
+        for got, want in zip([model.spaces.W, model.spaces.H, *model.cores],
+                             [fresh.spaces.W, fresh.spaces.H, *fresh.cores]):
+            assert np.array_equal(got, want)
+    calls.clear()
+    fit(tensor, r=2, opts=SvdOptions(rank=2, rng_seed=1))
+    fit(tensor, r=2, opts=SvdOptions(rank=2, rng_seed=2))
+    fit(tensor, r=2, use_si=False, opts=SvdOptions(rank=2, rng_seed=2))
+    fit(tensor, r=2, p=0.4, opts=SvdOptions(rank=2, rng_seed=2))  # the tensor's last pair
+    fit(tensor, r=2, use_si=False, use_pop=False, opts=SvdOptions(rank=2, rng_seed=2))
+    assert calls == [(2, 2, 1), (2, 2, 2), (1, 2, 2)]
 
 
 def test_fit_rejects_bad_p_before_the_svds(monkeypatch):
