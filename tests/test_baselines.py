@@ -81,9 +81,11 @@ def test_itempop_has_maximal_pri():
     assert reports["itempop"].pri >= reports["popsi_full"].pri
 
 
-def test_run_variant_on_one_holdout_estimates_one_pair_per_use_si(monkeypatch):
-    """The four variants run on one holdout estimate one SVD pair per use_si value, and
-    report what each variant fitted on a split of its own does."""
+@pytest.mark.parametrize("name", sorted(VARIANT_FLAGS))
+def test_run_variant_with_given_spaces_matches_refit(name, monkeypatch):
+    """A variant run on a holdout whose SVD pair fit already holds, from the variant of the
+    same use_si, estimates no pair and reports what the variant fitted on a split of its
+    own does."""
     import popsi.model
 
     tensor = random_binary_tensor(np.random.default_rng(4), 30, 24, 3, density=0.25)
@@ -96,9 +98,12 @@ def test_run_variant_on_one_holdout_estimates_one_pair_per_use_si(monkeypatch):
         return estimate(t, *args, **kwargs)
 
     monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
-    reused = {name: run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10],
-                                holdout=holdout) for name in VARIANT_FLAGS}
-    assert fitted_on == [1, 3]  # matrix variants on the target slice, then tensor variants
-    for name, report in reused.items():
-        assert report == run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10])
-    assert len(fitted_on) == 2 + len(VARIANT_FLAGS)  # each split of its own: a pair per fit
+    use_si = VARIANT_FLAGS[name][0]
+    (sibling,) = [other for other, flags in VARIANT_FLAGS.items()
+                  if flags[0] == use_si and other != name]
+    run_variant(sibling, tensor, split, r=4, p=0.2, k_values=[5, 10], holdout=holdout)
+    reused = run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10], holdout=holdout)
+    n_slices = 3 if use_si else 1
+    assert fitted_on == [n_slices]  # the sibling's pair is the one the variant used
+    assert reused == run_variant(name, tensor, split, r=4, p=0.2, k_values=[5, 10])
+    assert fitted_on == [n_slices, n_slices]  # a split of its own estimates a pair again
