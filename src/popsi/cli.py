@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from popsi.data import (
     write_tensor,
 )
 from popsi.linalg import SvdOptions
-from popsi.metrics import SCORE_BLOCK, evaluate
-from popsi.model import fit, load_model, rank_items, save_model, score_user
+from popsi.metrics import evaluate, ranked_blocks
+from popsi.model import fit, load_model, save_model, score_user
 
 
 @dataclass
@@ -199,30 +200,26 @@ def cmd_evaluate(cfg: RunConfig, args: dict) -> int:
 
 
 def cmd_recommend(cfg: RunConfig, args: dict) -> int:
-    out, user_tokens = Path(cfg.out), args["users"]
+    out, tokens, K = Path(cfg.out), args["users"], cfg.k_values[0]
     tensor = read_tensor(out / "tensor.bin")
     model = load_model(out / "model.bin")
     train = _fitted_split(cfg, tensor, model).train
-    users, items = read_index(out / "users.txt"), read_index(out / "items.txt")
+    users, items = read_index(out / "users.txt", train.m1), read_index(out / "items.txt", train.m2)
     user_index = {token: u for u, token in enumerate(users)}
-    rows = max(1, SCORE_BLOCK // train.m2)  # tokens per block, so memory stays bounded
-    K = min(cfg.k_values[0], train.m2)  # a longer list could only be padding
-    for start in range(0, len(user_tokens), rows):
-        tokens = user_tokens[start : start + rows]
-        known = np.array([user_index[t] for t in tokens if t in user_index], dtype=np.int64)
-        ranked, scores = rank_items(score_user(model, known), known, K, train)
-        row_of = {u: i for i, u in enumerate(known.tolist())}
-        for token in tokens:
-            if token not in user_index:
-                print(f"ERR unknown user\t{token}")
-                continue
-            i = row_of[user_index[token]]
-            n = int(np.count_nonzero(ranked[i] >= 0))
-            if n < cfg.k_values[0]:
-                print(f"warning: only {n} candidates for {token}", file=sys.stderr)
-            for v, s in zip(ranked[i, :n].tolist(), scores[i, :n].tolist()):
-                print(f"{token}\t{items[v]}\t{s:.6g}")
-    return int(any(token not in user_index for token in user_tokens))  # 1: an unknown user
+    known = np.array([user_index[t] for t in tokens if t in user_index], dtype=np.int64)
+    blocks = ranked_blocks(partial(score_user, model), known, K, train, {})
+    lists = chain.from_iterable(zip(ranked, top) for _, _, ranked, top in blocks)
+    for token in tokens:
+        if token not in user_index:
+            print(f"ERR unknown user\t{token}")
+            continue
+        ranked, top = next(lists)
+        n = int(np.count_nonzero(ranked >= 0))
+        if n < K:
+            print(f"warning: only {n} candidates for {token}", file=sys.stderr)
+        for v, s in zip(ranked[:n].tolist(), top[:n].tolist()):
+            print(f"{token}\t{items[v]}\t{s:.6g}")
+    return int(len(known) < len(tokens))  # 1: an unknown user
 
 
 def _grid_values(param: str, text: str) -> list[float]:

@@ -402,7 +402,10 @@ def write_index(tokens: list[str], path) -> None:
         f.write("".join(token + "\n" for token in tokens))
 
 
-def read_index(path) -> list[str]:
-    """The tokens of an index file, in index order."""
+def read_index(path, n: int) -> list[str]:
+    """The tokens of an index file, in index order; a file of other than n tokens is refused."""
     with open(path) as f:
-        return [token for token in f.read().split("\n") if token]
+        tokens = [token for token in f.read().split("\n") if token]
+    if len(tokens) != n:
+        raise ValueError(f"{path} holds {len(tokens)} tokens, not the {n} of tensor.bin")
+    return tokens

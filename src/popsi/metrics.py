@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -184,6 +184,28 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
     return -spearman(pops, ranks)
 
 
+def ranked_blocks(score_fn: Callable[[np.ndarray], np.ndarray], users: np.ndarray, K: int,
+                  train: InteractionTensor, log: dict) -> Iterator[tuple]:
+    """Score and rank `users` block by block, about SCORE_BLOCK scores a block.
+
+    Yields `(start, scores, items, top)` for users[start : start + len(scores)]:
+    their score rows from `score_fn` and their `rank_items` lists (at most m2
+    long), each user's target entries in `train` left out. `log` gets
+    `rank_items`'s counts, and the seconds spent scoring and ranking are
+    added to `log["seconds"]["score"]` and `["rank"]`.
+    """
+    clock, seconds = time.perf_counter, log.setdefault("seconds", {})
+    rows = max(1, SCORE_BLOCK // train.m2)  # memory stays at one block, whatever the users
+    for start in range(0, len(users), rows):
+        t0 = clock()
+        scores = score_fn(users[start : start + rows])
+        t1 = clock()
+        items, top = rank_items(scores, users[start : start + rows], K, train, log)
+        seconds["score"] = seconds.get("score", 0.0) + t1 - t0
+        seconds["rank"] = seconds.get("rank", 0.0) + clock() - t1
+        yield start, scores, items, top
+
+
 def evaluate(
     score_fn: Callable[[np.ndarray], np.ndarray],
     held: np.ndarray,
@@ -195,40 +217,28 @@ def evaluate(
     """Run the full metric suite for one block scorer against held-out entries.
 
     `held` holds N x 3 (u, v, k) entries, unique and sorted by (u, v), as
-    `HoldoutSets.val`/`test` do; its users are scored once by `score_fn(users)`,
-    which returns one score row per user of an index array, in blocks of about
-    SCORE_BLOCK scores. The top-K lists (at most m2 long, whatever the K) and
-    the PRI rank quantiles come from the same block. The training tensor `train`
-    gives the rest: the means run over its m1 users, PRI reads its target-slice
-    item counts, and each user's target entries in it are removed from the
-    user's candidates before ranking (PRI ranks only within Pos_u and ignores
-    them). When `log` is given it gets the seconds spent in each stage
-    (`seconds`), the zero-score users, the whole-row sorts and the users PRI skips.
+    `HoldoutSets.val`/`test` do; its users are scored once, by `ranked_blocks`,
+    and the top-K lists and the PRI rank quantiles come from the same block.
+    The training tensor `train` gives the rest: the means run over its m1
+    users, PRI reads its target-slice item counts, and each user's target
+    entries in it are removed from the user's candidates before ranking (PRI
+    ranks only within Pos_u and ignores them). When `log` is given it gets the
+    seconds spent in each stage (`seconds`), the zero-score users, the
+    whole-row sorts and the users PRI skips.
     """
     clock = time.perf_counter
     seconds = dict.fromkeys(("score", "rank", "metrics", "pri"), 0.0)
-    stats = {"zero_score_users": 0, "whole_row_sorts": 0}
+    stats = {"zero_score_users": 0, "whole_row_sorts": 0, "seconds": seconds}
     test_users, pos_rows = np.unique(held[:, 0].astype(np.int64), return_inverse=True)
     pos_items = held[:, 1].astype(np.int64)
-    items = np.empty((len(test_users), min(max(k_values), train.m2)), dtype=np.int64)
-    pos_scores = np.empty(len(pos_rows))
-    rows = max(1, SCORE_BLOCK // train.m2)
-    for start in range(0, len(test_users), rows):
-        t0 = clock()
-        block = test_users[start : start + rows]
-        scores = score_fn(block)
-        t1 = clock()
-        ranked, top = rank_items(scores, block, items.shape[1], train, stats)
-        items[start : start + len(block)] = ranked
-        # an all-zero row has no positive candidate score, so only those rows are read
-        maybe = np.flatnonzero(~(top[:, 0] > 0))
-        stats["zero_score_users"] += int(np.count_nonzero(~scores[maybe].any(axis=1)))
-        t2 = clock()
-        a, b = np.searchsorted(pos_rows, [start, start + len(block)])
+    items, pos_scores = np.empty((0, 0), dtype=np.int64), np.empty(len(pos_rows))
+    blocks = ranked_blocks(score_fn, test_users, max(k_values), train, stats)
+    for start, scores, ranked, _ in blocks:
+        if start == 0:  # the lists' width is rank_items's to decide
+            items = np.empty((len(test_users), ranked.shape[1]), dtype=np.int64)
+        items[start : start + len(ranked)] = ranked
+        a, b = np.searchsorted(pos_rows, [start, start + len(ranked)])
         pos_scores[a:b] = scores[pos_rows[a:b] - start, pos_items[a:b]]
-        seconds["score"] += t1 - t0
-        seconds["rank"] += t2 - t1
-        seconds["pri"] += clock() - t2
 
     t0 = clock()
     recall, ndcg = _mean_metrics(items, pos_rows, pos_items, train.m1, k_values)
@@ -242,5 +252,5 @@ def evaluate(
     seconds["metrics"] += t1 - t0
     seconds["pri"] += clock() - t1
     if log is not None:
-        log.update(stats, seconds=seconds, users_skipped_pri=skipped)
+        log.update(stats, users_skipped_pri=skipped)
     return EvalReport(recall, ndcg, pri_value, train.m1, skipped, config or {})

@@ -208,36 +208,29 @@ def score_user(model: PreferenceModel, users, k: int = 0) -> np.ndarray:
     return (W[idx] @ model.cores[k]) @ model.spaces.H.T
 
 
-def rank_items(
-    scores: np.ndarray,
-    users,
-    K: int,
-    exclude: InteractionTensor | None = None,
-    log: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-K items of every row of a score block, as an n x K int64 matrix padded
-    with -1 (rows with fewer than K candidates), and their scores, padded with -inf.
+def rank_items(scores: np.ndarray, users, K: int, exclude: InteractionTensor,
+               log: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Top-K items of every row of a score block, as an n x min(K, m2) int64 matrix
+    padded with -1 (rows with fewer candidates), and their scores, padded with -inf.
 
     Row i belongs to user users[i]. `exclude` is the training tensor, whose
     target entries of users[i] are dropped from row i. Each list is the head
     of a stable descending sort of its row, so ties break by ascending item
     index. A row whose K-th score ties with an item left out takes that
-    whole-row sort; `log`, when given, counts these rows in `whole_row_sorts`.
+    whole-row sort; `log` counts these rows in `whole_row_sorts`, and the rows
+    whose scores are all zero in `zero_score_users`.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     users = np.asarray(users)
     masked = np.array(scores, dtype=float)
     n_rows, m2 = masked.shape
-    if exclude is not None:
-        indptr, indices = exclude.target_rows
-        starts = indptr[users]
-        counts = indptr[users + 1] - starts
-        at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        masked[np.repeat(np.arange(n_rows), counts), indices[at]] = -np.inf
-    items = np.full((n_rows, K), -1, dtype=np.int64)
-    top = np.full((n_rows, K), -np.inf)
-    k = min(K, m2)
+    indptr, indices = exclude.target_rows
+    starts = indptr[users]
+    counts = indptr[users + 1] - starts
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    masked[np.repeat(np.arange(n_rows), counts), indices[at]] = -np.inf
+    k = min(K, m2)  # a longer list could only be padding
     # the k best items of each row and, when an item is left out, the best one left out
     width = min(k + 1, m2)
     chosen = np.argpartition(masked, m2 - width, axis=1)[:, m2 - width :]
@@ -245,17 +238,19 @@ def rank_items(
     order = np.lexsort((chosen, -values), axis=-1)
     chosen = np.take_along_axis(chosen, order, axis=1)
     values = np.take_along_axis(values, order, axis=1)
-    items[:, :k], top[:, :k] = chosen[:, :k], values[:, :k]
-    ties = np.empty(0, dtype=np.int64)
-    if width > k:
-        # the K-th best ties with an item left out, which may have the lower index
-        ties = np.flatnonzero((values[:, k - 1] == values[:, k]) & (values[:, k] > -np.inf))
-    for i in ties.tolist():
+    items, top = chosen[:, :k], values[:, :k]
+    # the K-th best ties with an item left out, which may have the lower index
+    ties = (np.flatnonzero((values[:, k - 1] == values[:, k]) & (values[:, k] > -np.inf))
+            if width > k else [])
+    for i in ties:
         best = np.argsort(-masked[i], kind="stable")[:k]
-        items[i, :k], top[i, :k] = best, masked[i, best]
+        items[i], top[i] = best, masked[i, best]
     items[top == -np.inf] = -1
-    if log is not None:
-        log["whole_row_sorts"] = log.get("whole_row_sorts", 0) + len(ties)
+    # an all-zero row has no positive candidate score, so only those rows are read
+    maybe = np.flatnonzero(~(top[:, 0] > 0))
+    zero = int(np.count_nonzero(~scores[maybe].any(axis=1)))
+    log["zero_score_users"] = log.get("zero_score_users", 0) + zero
+    log["whole_row_sorts"] = log.get("whole_row_sorts", 0) + len(ties)
     return items, top
 
 

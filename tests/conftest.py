@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread, as CI runs tier-1: set before numpy loads, and a value already set wins
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(name, "1")
+
 import json
 import struct
 

@@ -12,25 +12,31 @@ from popsi.data import InteractionTensor, SplitSpec, split_holdout
 from popsi.model import rank_items
 
 
+def nothing_excluded(m2):
+    """A one-user training tensor without target entries."""
+    return InteractionTensor(1, m2, [sp.csr_matrix((1, m2))], ["t"])
+
+
 def test_itempop_sort_by_count():
-    items, scores = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2)
-    assert items.tolist() == [[2, 0]] and scores.tolist() == [[7.0, 5.0]]
+    block = itempop_scores(np.array([5, 2, 7]), [0])
+    items, top = rank_items(block, [0], 2, nothing_excluded(3), {})
+    assert items.tolist() == [[2, 0]] and top.tolist() == [[7.0, 5.0]]
 
 
 def test_itempop_exclusion():
     exclude = InteractionTensor(1, 3, [sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3))], ["t"])
-    items, _ = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], K=2, exclude=exclude)
+    items, _ = rank_items(itempop_scores(np.array([5, 2, 7]), [0]), [0], 2, exclude, {})
     assert items.tolist() == [[0, 1]]
 
 
 def test_itempop_zero_counts_tie_rule():
-    items, _ = rank_items(itempop_scores(np.zeros(4), [0]), [0], K=3)
+    items, _ = rank_items(itempop_scores(np.zeros(4), [0]), [0], 3, nothing_excluded(4), {})
     assert items.tolist() == [[0, 1, 2]]
 
 
 def test_itempop_invalid_k():
     with pytest.raises(ValueError):
-        rank_items(itempop_scores(np.array([1.0]), [0]), [0], 0)
+        rank_items(itempop_scores(np.array([1.0]), [0]), [0], 0, nothing_excluded(1), {})
 
 
 def test_variant_flag_mapping():

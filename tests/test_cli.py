@@ -309,11 +309,42 @@ def test_recommend_scores_in_blocks(workspace, capsys, monkeypatch):
         rows_seen.append(len(users))
         return score_user_of_model(model, users, k)
 
-    monkeypatch.setattr(popsi.cli, "SCORE_BLOCK", block_rows * m2)
+    monkeypatch.setattr(popsi.metrics, "SCORE_BLOCK", block_rows * m2)
     monkeypatch.setattr(popsi.cli, "score_user", score_user)
     assert run(["recommend", "--config", cfg, "--k", 5, *tokens]) == status
     assert capsys.readouterr() == whole
     assert len(rows_seen) > 1 and max(rows_seen) <= block_rows
+
+
+def test_recommend_blocks_are_full_blocks_of_known_users(workspace, capsys, monkeypatch):
+    """Unknown tokens take no row of a block: four known users in blocks of three rows
+    are scored as rows [3, 1], and each list still prints in request order."""
+    import popsi.cli
+    import popsi.metrics
+    from popsi.model import score_user as score_user_of_model
+
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    run(["fit", "--config", cfg])
+    users = (tmp_path / "out" / "users.txt").read_text().split()
+    tokens = [users[0], "nobody", users[1], users[2], "ghost", users[3]]
+    capsys.readouterr()
+    status = run(["recommend", "--config", cfg, "--k", 5, *tokens])
+    whole = capsys.readouterr()
+    m2, rows_seen = len((tmp_path / "out" / "items.txt").read_text().split()), []
+
+    def score_user(model, users, k=0):
+        rows_seen.append(len(users))
+        return score_user_of_model(model, users, k)
+
+    monkeypatch.setattr(popsi.metrics, "SCORE_BLOCK", 3 * m2)
+    monkeypatch.setattr(popsi.cli, "score_user", score_user)
+    assert run(["recommend", "--config", cfg, "--k", 5, *tokens]) == status == 1
+    assert capsys.readouterr() == whole
+    assert rows_seen == [3, 1]
+    tokens_printed = [line.split("\t")[-1 if line.startswith("ERR") else 0]
+                      for line in whole.out.splitlines()]
+    assert list(dict.fromkeys(tokens_printed)) == tokens
 
 
 def test_recommend_warns_when_candidates_run_short(workspace, capsys):
@@ -330,9 +361,8 @@ def test_recommend_warns_when_candidates_run_short(workspace, capsys):
 
 
 def test_k_above_the_item_count_ranks_at_most_m2_items(workspace, capsys, monkeypatch):
-    """A K above the item count is padding: `rank_items` sees K <= m2, and evaluate's
-    numbers and recommend's output are those of K = m2."""
-    import popsi.cli
+    """A K above the item count is padding: `rank_items` returns lists at most m2 long,
+    and evaluate's numbers and recommend's output are those of K = m2."""
     import popsi.metrics
     from popsi.model import rank_items
 
@@ -349,11 +379,11 @@ def test_k_above_the_item_count_ranks_at_most_m2_items(workspace, capsys, monkey
     assert "warning: only" in listed.err  # users with training items have fewer candidates
 
     def spy(scores, users, K, *args):
-        assert K <= m2
-        return rank_items(scores, users, K, *args)
+        items, top = rank_items(scores, users, K, *args)
+        assert items.shape[1] == top.shape[1] <= m2 < K
+        return items, top
 
     monkeypatch.setattr(popsi.metrics, "rank_items", spy)
-    monkeypatch.setattr(popsi.cli, "rank_items", spy)
     big = 10**6
     assert run(["evaluate", "--config", cfg, "--k", big]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -367,6 +397,25 @@ def test_k_above_the_item_count_ranks_at_most_m2_items(workspace, capsys, monkey
     # the warning compares with the K asked for: every list is short of a million
     lines = [line.split("\t")[0] for line in got.out.splitlines()]
     assert got.err == "".join(f"warning: only {lines.count(u)} candidates for {u}\n" for u in users)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("items.txt", lambda lines: lines[:10]),
+    ("users.txt", lambda lines: lines[:10]),
+    ("items.txt", lambda lines: lines + ["extra"]),
+], ids=["items-cut", "users-cut", "items-extra"])
+def test_recommend_rejects_index_file_of_other_length(workspace, capsys, name, edit):
+    """users.txt must hold m1 tokens and items.txt m2, as tensor.bin has."""
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
+    users = (tmp_path / "out" / "users.txt").read_text().split()
+    index = tmp_path / "out" / name
+    index.write_text("".join(line + "\n" for line in edit(index.read_text().split())))
+    capsys.readouterr()
+    assert run(["recommend", "--config", cfg, users[0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {index} holds ") and captured.out == ""
 
 
 def test_recommend_rejects_model_of_other_data(workspace, capsys):

@@ -14,9 +14,11 @@ from popsi.metrics import (
     evaluate,
     ndcg_at_k,
     pri,
+    ranked_blocks,
     recall_at_k,
     spearman,
 )
+from popsi.model import rank_items
 
 
 # --- brute-force reference implementations, kept independent of the library ---
@@ -321,3 +323,30 @@ def test_evaluate_matches_per_user_reference(seed, block_rows):
     assert report.users_skipped_pri == log["users_skipped_pri"] == skipped
     tested = sorted(u for u, p in positives.items() if p)
     assert log["zero_score_users"] == int(np.sum(~scores[tested].any(axis=1)))
+
+
+def test_ranked_blocks_give_the_lists_of_one_rank_items_call():
+    """For every block size, the blocks' rows, lists and counts are those of all users
+    ranked at once; the scorer is a lookup, so no product differs between block sizes."""
+    rng = np.random.default_rng(5)
+    n, m2, K = 9, 7, 4
+    scores = rng.integers(-1, 2, (n, m2)).astype(float)  # bitwise ties are common
+    scores[[2, 6]] = 0.0
+    train = InteractionTensor(n, m2, [sp.csr_matrix(rng.random((n, m2)) < 0.3)], ["t"])
+    users = rng.permutation(n)
+    whole_log = {}
+    whole = rank_items(scores[users], users, K, train, whole_log)
+    assert whole_log["zero_score_users"] == 2 and whole_log["whole_row_sorts"] > 0
+    for rows in range(1, n + 1):
+        log, starts = {}, []
+        with mock.patch.object(metrics, "SCORE_BLOCK", rows * m2):
+            blocks = list(ranked_blocks(lambda b: scores[b], users, K, train, log))
+        for start, block, items, top in blocks:
+            starts.append(start)
+            assert np.array_equal(block, scores[users[start : start + len(block)]])
+            assert len(items) == len(top) == len(block) <= rows
+        assert starts == list(range(0, n, rows))
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), whole[0])
+        assert np.array_equal(np.concatenate([b[3] for b in blocks]), whole[1])
+        assert set(log.pop("seconds")) == {"score", "rank"}
+        assert log == whole_log

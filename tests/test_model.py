@@ -356,14 +356,20 @@ def exclusion(m1, m2, pairs):
 
 def test_top_k_ordering_and_exclusion():
     scores = np.array([[0.1, 0.9, 0.5]])
-    assert rank_items(scores, [0], 2)[0].tolist() == [[1, 2]]
-    assert rank_items(scores, [0], 2, exclusion(1, 3, [(0, 1)]))[0].tolist() == [[2, 0]]
-    assert rank_items(np.zeros((1, 3)), [0], 2)[0].tolist() == [[0, 1]]
-    items, top = rank_items(scores, [0], 5, exclusion(1, 3, [(0, 1)]))
-    assert items.tolist() == [[2, 0, -1, -1, -1]]
-    assert top.tolist() == [[0.5, 0.1, -np.inf, -np.inf, -np.inf]]
+    none = exclusion(1, 3, [])
+    assert rank_items(scores, [0], 2, none, {})[0].tolist() == [[1, 2]]
+    assert rank_items(scores, [0], 2, exclusion(1, 3, [(0, 1)]), {})[0].tolist() == [[2, 0]]
+    # an all-zero row ties at its K-th score, so it takes a whole-row sort
+    log = {}
+    assert rank_items(np.zeros((1, 3)), [0], 2, none, log)[0].tolist() == [[0, 1]]
+    assert log == {"zero_score_users": 1, "whole_row_sorts": 1}
+    # a K above the item count gives lists m2 long, padded where items were left out
+    items, top = rank_items(scores, [0], 5, exclusion(1, 3, [(0, 1)]), log)
+    assert items.tolist() == [[2, 0, -1]]
+    assert top.tolist() == [[0.5, 0.1, -np.inf]]
+    assert log == {"zero_score_users": 1, "whole_row_sorts": 1}
     with pytest.raises(ValueError):
-        rank_items(scores, [0], 0)
+        rank_items(scores, [0], 0, none, {})
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,13 +388,15 @@ def test_rank_items_matches_full_stable_sort(seed):
         scores += rng.random(scores.shape)
     scores[rng.random(len(users)) < 0.3] = 0.0
     K = int(rng.integers(1, m2 + 3))
-    items, top = rank_items(scores, users, K, exclude)
-    assert items.shape == top.shape == (len(users), K) and items.dtype == np.int64
+    log = {}
+    items, top = rank_items(scores, users, K, exclude, log)
+    assert items.shape == top.shape == (len(users), min(K, m2)) and items.dtype == np.int64
+    assert log["zero_score_users"] == int(np.sum(~scores.any(axis=1)))
     dense = target.toarray()
     for got, got_scores, u, row in zip(items, top, users, scores):
         candidates = np.flatnonzero(dense[u] == 0)
         want = candidates[np.argsort(-row[candidates], kind="stable")][:K]
-        pad = K - len(want)
+        pad = min(K, m2) - len(want)
         assert got.tolist() == want.tolist() + [-1] * pad
         assert got_scores.tolist() == row[want].tolist() + [-np.inf] * pad
 
