@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from popsi.data import HoldoutSets, InteractionTensor, SplitSpec, item_popularity, split_holdout
-from popsi.linalg import SvdOptions
 from popsi.metrics import EvalReport, evaluate
 from popsi.model import fit, score_user
 
@@ -50,8 +49,7 @@ def run_variant(
         use_si = use_pop = False
     else:
         use_si, use_pop = VARIANT_FLAGS[name]
-        model = fit(holdout.train, r=r, p=p, use_si=use_si, use_pop=use_pop,
-                    opts=SvdOptions(rank=r, rng_seed=split.rng_seed))
+        model = fit(holdout.train, r, p, use_si, use_pop, split.rng_seed)
         score_fn = partial(score_user, model)
 
     config = {"variant": name, "r": r, "p": p, "use_si": use_si, "use_pop": use_pop,

@@ -28,7 +28,6 @@ from popsi.data import (
     write_index,
     write_tensor,
 )
-from popsi.linalg import SvdOptions
 from popsi.metrics import evaluate, ranked_blocks
 from popsi.model import fit, load_model, save_model, score_user
 
@@ -52,9 +51,6 @@ class RunConfig:
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec((self.train_ratio, self.val_ratio, self.test_ratio), self.seed)
-
-    def svd_opts(self) -> SvdOptions:
-        return SvdOptions(rank=self.r, rng_seed=self.seed)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -95,9 +91,12 @@ def _resolve_config(settings: dict, from_run: bool) -> RunConfig:
             raise ValueError(f"run directory {out} has no {name}; run `popsi ingest` first")
     recorded = _read_settings(out / "effective_config.json") if from_run else {}
     cfg = replace(RunConfig(), **{**recorded, **settings})
-    if min(cfg.k_values, default=0) < 1 or cfg.seed < 0:
-        raise ValueError(f"k_values must hold at least one K, each >= 1, and seed must be >= 0, "
-                         f"got k_values {cfg.k_values} and seed {cfg.seed}")
+    cfg.split_spec()  # SplitSpec refuses ratios that are not a split
+    for name, ok, rule in [("k_values", min(cfg.k_values, default=0) >= 1, "be one or more K >= 1"),
+                           ("seed", cfg.seed >= 0, "be >= 0"), ("r", cfg.r >= 1, "be >= 1"),
+                           ("p", 0 < cfg.p < 1, "lie in (0,1)")]:
+        if not ok:
+            raise ValueError(f"{name} must {rule}, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -149,7 +148,7 @@ def cmd_fit(cfg: RunConfig, args: dict) -> int:
     out = Path(cfg.out)
     train = split_holdout(read_tensor(out / "tensor.bin"), cfg.split_spec()).train
     log: dict = {}
-    model = fit(train, cfg.r, cfg.p, cfg.use_si, cfg.use_pop, cfg.svd_opts(), log)
+    model = fit(train, cfg.r, cfg.p, cfg.use_si, cfg.use_pop, cfg.seed, log)
     model.trained_on = _trained_on(cfg, train)
     # the behaviors are those of tensor.bin, whatever a --config file says
     _write_json(out / "effective_config.json",
@@ -240,7 +239,6 @@ def _grid_values(param: str, text: str) -> list[float]:
 def cmd_sweep(cfg: RunConfig, args: dict) -> int:
     """Fit and validate each grid value; `fit` reuses one SVD pair across a p sweep."""
     param, values = args["param"], _grid_values(args["param"], args["values"])
-    opts = cfg.svd_opts()  # a bad rank fails the command, not every grid point
     out = Path(cfg.out)
     holdout = split_holdout(read_tensor(out / "tensor.bin"), cfg.split_spec())
     rows = []
@@ -249,7 +247,7 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
         r = int(value) if param == "r" else cfg.r
         p = float(value) if param == "p" else cfg.p
         try:
-            model = fit(holdout.train, r, p, cfg.use_si, cfg.use_pop, opts)
+            model = fit(holdout.train, r, p, cfg.use_si, cfg.use_pop, cfg.seed)
             # sweeps tune on the validation split
             report = evaluate(partial(score_user, model), holdout.val, holdout.train, [50])
             pri = "" if report.pri is None else f"{report.pri:.6f}"  # None: no user to rank

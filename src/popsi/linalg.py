@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -16,16 +15,6 @@ OVERSAMPLE = 10  # columns of the iterated block beyond the rank
 POWER_ITERS = 4  # power steps before the stop rule is read
 SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as converged
 MAX_ITERS = 60  # power steps at most
-
-
-@dataclass(frozen=True)
-class SvdOptions:
-    rank: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
 def _cholesky_qr2(
@@ -55,7 +44,7 @@ def _cholesky_qr2(
     return Q, R
 
 
-def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None) -> np.ndarray:
+def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None = None) -> np.ndarray:
     """Orthonormal basis of the dominant-r left singular subspace of sparse A.
 
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
@@ -67,7 +56,7 @@ def truncated_svd_left(A: sp.spmatrix, opts: SvdOptions, log: dict | None = None
     stop reason, the final residual, the gap sigma_r / sigma_{r+1} (None when
     r = min(dims) or sigma_{r+1} = 0) and the number of Householder fallbacks.
     """
-    return _rayleigh_ritz(*_subspace_iteration(A, opts), opts.rank, log)
+    return _rayleigh_ritz(*_subspace_iteration(A, r, seed), r, log)
 
 
 def _qr(Y: np.ndarray, report: dict, with_q: bool = True):
@@ -88,17 +77,17 @@ def _power_step(A: sp.csr_matrix, At: sp.csr_matrix, Q: np.ndarray) -> np.ndarra
     return Y
 
 
-def _subspace_iteration(A: sp.spmatrix, opts: SvdOptions):
+def _subspace_iteration(A: sp.spmatrix, r: int, seed: int):
     """The power steps of `truncated_svd_left`: the last m x ell block Q, A^T as
     CSR, and the iteration count, stop reason, residual and QR fallbacks."""
     m, n = A.shape
-    r = opts.rank
-    if r > min(m, n):
-        raise ValueError(f"rank {r} exceeds min(dims) = {min(m, n)}")
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"rank must be >= 1, got {r}" if r < 1 else
+                         f"rank {r} exceeds min(dims) = {min(m, n)}")
     if A.nnz == 0:
         raise ValueError("matrix has no entries")
 
-    rng = np.random.default_rng(opts.rng_seed)
+    rng = np.random.default_rng(seed)
     ell = min(r + OVERSAMPLE, min(m, n))
     A = A.tocsr()
     At = A.T.tocsr()

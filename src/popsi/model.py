@@ -5,7 +5,8 @@ from __future__ import annotations
 import ctypes
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -13,7 +14,6 @@ import numpy as np
 from popsi.data import InteractionTensor, _read_container, _write_container, item_popularity
 from popsi.linalg import (
     ORTHO_TOL,
-    SvdOptions,
     _rayleigh_ritz,
     _subspace_iteration,
     orthonormalize,
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 DEFAULT_RANK = 200
 DEFAULT_POPULAR_FRACTION = 0.2
-# tensor -> ((r, rng_seed), spaces): the last SVD pair `fit` estimated on it, dropped with it
+# tensor -> ((r, seed), spaces): the last SVD pair `fit` estimated on it, dropped with it
 _LAST_SPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -51,6 +51,7 @@ class PreferenceModel:
     use_si: bool
     use_pop: bool
     trained_on: dict | None = None  # the split and a digest of the training entries
+    Ht = cached_property(lambda self: np.ascontiguousarray(self.spaces.H.T))  # not a field
 
 
 def unfold(tensor: InteractionTensor, mode: int) -> sp.csr_matrix:
@@ -89,7 +90,7 @@ def build_popularity_features(pop_counts: np.ndarray, p: float) -> PopularityFea
 
 
 def estimate_subspaces(
-    tensor: InteractionTensor, r: int, opts: SvdOptions, log: dict | None = None
+    tensor: InteractionTensor, r: int, seed: int = 0, log: dict | None = None
 ) -> FeatureSpaces:
     """User/item bases from the dominant left singular subspaces of the two unfoldings.
 
@@ -102,17 +103,16 @@ def estimate_subspaces(
     from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on this path
 
     log = {} if log is None else log
-    h_opts = replace(opts, rank=r, rng_seed=opts.rng_seed + 1)
     A1, A2 = unfold(tensor, 1), unfold(tensor, 2)
 
     def iterate_mode2():
         t = time.perf_counter()
-        return _subspace_iteration(A2, h_opts), time.perf_counter() - t
+        return _subspace_iteration(A2, r, seed + 1), time.perf_counter() - t
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         mode2 = pool.submit(iterate_mode2)
         t = time.perf_counter()
-        W = truncated_svd_left(A1, replace(opts, rank=r), log.setdefault("mode1", {}))
+        W = truncated_svd_left(A1, r, seed, log.setdefault("mode1", {}))
         log["mode1"]["seconds"] = time.perf_counter() - t
         (Q, At, report), seconds = mode2.result()
     # glibc keeps what the worker freed resident in its own arena; hand it back
@@ -153,7 +153,7 @@ def fit(
     p: float = DEFAULT_POPULAR_FRACTION,
     use_si: bool = True,
     use_pop: bool = True,
-    opts: SvdOptions | None = None,
+    seed: int = 0,
     log: dict | None = None,
 ) -> PreferenceModel:
     """Full fitting pipeline; ablation flags drop side information and/or the debias step.
@@ -166,17 +166,16 @@ def fit(
     and the debias report (`debias`, None when `use_pop` is off).
     """
     tensor = tensor.with_side_info(use_si)
-    opts = opts or SvdOptions(rank=r)
     debias_log = {} if use_pop else None
     # built before the SVDs, so that a bad p fails before them
     features = build_popularity_features(item_popularity(tensor), p) if use_pop else None
     t0 = time.perf_counter()
     key, spaces = _LAST_SPACES.get(tensor, (None, None))
-    if key != (r, opts.rng_seed):
+    if key != (r, seed):
         svd_log = None if log is None else log.setdefault("svd", {})
-        spaces = estimate_subspaces(tensor, r, opts, svd_log)
+        spaces = estimate_subspaces(tensor, r, seed, svd_log)
         spaces.W.flags.writeable = spaces.H.flags.writeable = False  # shared by later fits
-        _LAST_SPACES[tensor] = ((r, opts.rng_seed), spaces)
+        _LAST_SPACES[tensor] = ((r, seed), spaces)
     t1 = time.perf_counter()
     if use_pop:
         spaces = debias_item_space(spaces, features.P, debias_log)
@@ -205,7 +204,7 @@ def score_user(model: PreferenceModel, users, k: int = 0) -> np.ndarray:
     bad = idx[(idx < 0) | (idx >= W.shape[0])]
     if bad.size:
         raise IndexError(f"user index {bad.flat[0]} out of range [0, {W.shape[0]})")
-    return (W[idx] @ model.cores[k]) @ model.spaces.H.T
+    return (W[idx] @ model.cores[k]) @ model.Ht
 
 
 def rank_items(scores: np.ndarray, users, K: int, exclude: InteractionTensor,

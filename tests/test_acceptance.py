@@ -18,7 +18,7 @@ from conftest import (
 from popsi.baselines import run_variant
 from popsi.cli import main as cli_main
 from popsi.data import SplitSpec
-from popsi.linalg import SvdOptions, project_out, truncated_svd_left
+from popsi.linalg import project_out, truncated_svd_left
 from popsi.metrics import avg_rank_quantiles, ndcg_at_k, pri, recall_at_k, spearman
 from popsi.model import build_popularity_features, fit, score_user, unfold, refold
 from popsi.synth import SynthConfig, generate
@@ -39,7 +39,7 @@ def test_acceptance_01_svd_oracle():
         n = int(rng.integers(20, 201))
         r = int(rng.integers(2, 9))
         A = gapped_sparse_matrix(rng, m, n, r)
-        Q = truncated_svd_left(A, SvdOptions(rank=r, rng_seed=int(rng.integers(1 << 30))))
+        Q = truncated_svd_left(A, r, int(rng.integers(1 << 30)))
         ref = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :r]
         assert subspace_angle_sin(Q, ref) <= 1e-8
     elapsed = time.process_time() - start
@@ -59,7 +59,7 @@ def test_acceptance_02_closed_form_optimality():
             continue
         model = fit(
             tensor, r=r, use_si=True, use_pop=False,
-            opts=SvdOptions(rank=r, rng_seed=int(rng.integers(1 << 30))),
+            seed=int(rng.integers(1 << 30)),
         )
         W, H = model.spaces.W, model.spaces.H
         design = np.kron(H, W)
@@ -81,7 +81,7 @@ def test_acceptance_03_debias_orthogonality():
         if tensor.target.nnz == 0:
             continue
         p = float(rng.uniform(0.1, 0.4))
-        model = fit(tensor, r=4, p=p, use_si=True, use_pop=True, opts=SvdOptions(rank=4))
+        model = fit(tensor, r=4, p=p, use_si=True, use_pop=True)
         pop = np.asarray(tensor.target.sum(axis=0)).ravel()
         P = build_popularity_features(pop, p).P
         assert np.max(np.abs(P.T @ model.spaces.H)) <= 1e-10
@@ -96,7 +96,7 @@ def test_acceptance_04_projector_invariance():
     rng = np.random.default_rng(13)
     tensor = random_binary_tensor(rng, 25, 18, 3, density=0.25)
     r = 5
-    model = fit(tensor, r=r, use_si=True, use_pop=False, opts=SvdOptions(rank=r, rng_seed=1))
+    model = fit(tensor, r=r, use_si=True, use_pop=False, seed=1)
     W, H = model.spaces.W, model.spaces.H
     for _ in range(20):
         R1 = random_orthonormal(rng, W.shape[1], W.shape[1])

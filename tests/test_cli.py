@@ -420,13 +420,12 @@ def test_recommend_rejects_index_file_of_other_length(workspace, capsys, name, e
 
 def test_recommend_rejects_model_of_other_data(workspace, capsys):
     from conftest import random_binary_tensor
-    from popsi.linalg import SvdOptions
     from popsi.model import fit, save_model
 
     tmp_path, cfg = workspace
     run(["ingest", "--config", cfg])
     other = random_binary_tensor(np.random.default_rng(0), 7, 5, 2, density=0.5)
-    save_model(fit(other, r=2, opts=SvdOptions(rank=2)), tmp_path / "out" / "model.bin")
+    save_model(fit(other, r=2), tmp_path / "out" / "model.bin")
     capsys.readouterr()
     for command in (["recommend", "--config", cfg, "u0"], ["evaluate", "--config", cfg]):
         assert run(command) == 2
@@ -487,9 +486,20 @@ def test_evaluate_and_recommend_reject_damaged_model_metadata(workspace, capsys,
     assert report.read_bytes() == written
 
 
-@pytest.mark.parametrize("settings", [{"k_values": []}, {"k_values": [5, 0]}, {"seed": -1}],
-                         ids=["no-k", "k-zero", "negative-seed"])
-def test_fit_rejects_unusable_k_values_and_seed(workspace, capsys, settings):
+UNUSABLE_SETTINGS = {
+    "no-k": ({"k_values": []}, "k_values must be one or more K >= 1, got []"),
+    "k-zero": ({"k_values": [5, 0]}, "k_values must be one or more K >= 1, got [5, 0]"),
+    "negative-seed": ({"seed": -1}, "seed must be >= 0, got -1"),
+    "r-zero": ({"r": 0}, "r must be >= 1, got 0"),
+    "negative-r": ({"r": -2}, "r must be >= 1, got -2"),
+    "p-zero": ({"p": 0.0}, "p must lie in (0,1), got 0.0"),
+    "p-above-one": ({"p": 1.5}, "p must lie in (0,1), got 1.5"),
+    "ratios": ({"train_ratio": 0.5}, "split ratios must sum to 1, got (0.5, 0.1, 0.1)"),
+}
+
+
+@pytest.mark.parametrize("settings, message", UNUSABLE_SETTINGS.values(), ids=UNUSABLE_SETTINGS)
+def test_fit_rejects_unusable_k_values_and_seed(workspace, capsys, settings, message):
     """Settings of the right types that no command can use exit 2 naming the field, before
     anything is written."""
     tmp_path, cfg = workspace
@@ -498,14 +508,24 @@ def test_fit_rejects_unusable_k_values_and_seed(workspace, capsys, settings):
     assert run(["fit", "--config", cfg]) == 0
     written = {name: (out / name).read_bytes() for name in ("effective_config.json", "model.bin")}
     bad = with_settings(cfg, "bad.json", **settings)
-    message = ("error: k_values must hold at least one K, each >= 1, and seed must be >= 0, got "
-               f"k_values {settings.get('k_values', [5, 10])} and seed {settings.get('seed', 9)}\n")
+    message = f"error: {message}\n"
     capsys.readouterr()
     for command in (["fit"], ["evaluate"], ["recommend", "u0"], ["ingest"]):
         assert run([*command, "--config", bad]) == 2
         captured = capsys.readouterr()
         assert captured.err == message and captured.out == ""
     assert {name: (out / name).read_bytes() for name in written} == written
+
+
+@pytest.mark.parametrize("settings, message", UNUSABLE_SETTINGS.values(), ids=UNUSABLE_SETTINGS)
+def test_ingest_rejects_unusable_settings_before_writing(workspace, capsys, settings, message):
+    """A first `ingest` refuses what every later command would refuse, and makes no run
+    directory."""
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", with_settings(cfg, "bad.json", **settings)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("other", ["seed", "entries"])
@@ -632,7 +652,7 @@ def test_p_sweep_matches_per_point_fits(workspace, monkeypatch, flags):
     holdout = split_holdout(tensor, config.split_spec())
     expected = ["param,value,ndcg_at_50,pri"]
     for p in (0.1, 0.3, 0.5):
-        model = fit(holdout.train, 6, p, config.use_si, config.use_pop, config.svd_opts())
+        model = fit(holdout.train, 6, p, config.use_si, config.use_pop, config.seed)
         report = evaluate(partial(score_user, model), holdout.val, holdout.train, [50])
         expected.append(f"p,{p:g},{report.ndcg[50]:.6f},{report.pri:.6f}")
     assert (tmp_path / "out" / "sweep.csv").read_text().splitlines() == expected

@@ -9,7 +9,6 @@ from popsi.linalg import (
     OVERSAMPLE,
     POWER_ITERS,
     SVD_TOL,
-    SvdOptions,
     _cholesky_qr2,
     _power_step,
     orthonormalize,
@@ -19,13 +18,12 @@ from popsi.linalg import (
 from popsi.model import build_popularity_features
 
 
-def two_qr_svd_left(A, opts):
+def two_qr_svd_left(A, r, seed):
     """Reference kernel: orthonormalizes both A^T Q and A Z in every power step and
     takes the Ritz vectors from an SVD of the ell x n block Q^T A.
     Returns the basis and the number of power steps."""
     m, n = A.shape
-    r = opts.rank
-    rng = np.random.default_rng(opts.rng_seed)
+    rng = np.random.default_rng(seed)
     ell = min(r + OVERSAMPLE, min(m, n))
     A = A.tocsr()
     At = A.T.tocsr()
@@ -77,16 +75,9 @@ def orthonormality_error(Q):
     return np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]))
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"rank": 0}, "rank must be >= 1, got 0"),
-    ],
-    ids=["rank"],
-)
-def test_svd_options_reject_meaningless(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        SvdOptions(**{"rank": 3, **kwargs})
+def test_svd_rejects_rank_zero():
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        truncated_svd_left(sp.identity(4, format="csr"), 0)
 
 
 def test_cholesky_qr2_matches_householder():
@@ -124,7 +115,7 @@ def test_svd_falls_back_on_repeated_columns():
     B = sparse_binary(np.random.default_rng(3), 40, 2, 0.5).toarray()
     A = sp.csr_matrix(np.tile(B, (1, 8)))
     log = {}
-    Q = truncated_svd_left(A, SvdOptions(rank=2, rng_seed=0), log)
+    Q = truncated_svd_left(A, 2, 0, log)
     assert log["qr_fallbacks"] >= 1
     assert orthonormality_error(Q) <= 1e-12
     assert subspace_angle_sin(Q, np.linalg.svd(B, full_matrices=False)[0]) <= 1e-8
@@ -136,7 +127,7 @@ def test_svd_falls_back_on_ill_conditioned_block():
     # only column-graded, which Cholesky QR is invariant to
     A = sp.csr_matrix(graded_block(np.random.default_rng(4), 120, 15, 1e12))
     log = {}
-    Q = truncated_svd_left(A, SvdOptions(rank=5, rng_seed=0), log)
+    Q = truncated_svd_left(A, 5, 0, log)
     assert log["qr_fallbacks"] >= 1
     assert orthonormality_error(Q) <= 1e-12
     dense = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :5]
@@ -155,21 +146,21 @@ def test_power_step_bit_equals_one_shot_product(order):
 
 def test_svd_diagonal_matrix():
     A = sp.csr_matrix(np.diag([3.0, 2.0, 1.0]))
-    Q = truncated_svd_left(A, SvdOptions(rank=2))
+    Q = truncated_svd_left(A, 2)
     # columns equal +-e1, +-e2
     assert np.allclose(np.abs(Q), np.eye(3)[:, :2], atol=1e-12)
 
 
 def test_svd_identity_full_rank():
     A = sp.identity(4, format="csr")
-    Q = truncated_svd_left(A, SvdOptions(rank=4))
+    Q = truncated_svd_left(A, 4)
     assert np.max(np.abs(Q @ Q.T - np.eye(4))) <= 1e-10
 
 
 def test_svd_matches_dense_oracle():
     rng = np.random.default_rng(5)
     A = gapped_sparse_matrix(rng, 50, 80, r=5)
-    Q = truncated_svd_left(A, SvdOptions(rank=5, rng_seed=1))
+    Q = truncated_svd_left(A, 5, 1)
     ref = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :5]
     assert subspace_angle_sin(Q, ref) <= 1e-8
 
@@ -177,21 +168,20 @@ def test_svd_matches_dense_oracle():
 def test_svd_rank_too_large():
     A = sp.identity(4, format="csr")
     with pytest.raises(ValueError):
-        truncated_svd_left(A, SvdOptions(rank=5))
+        truncated_svd_left(A, 5)
 
 
 def test_svd_empty_matrix():
     A = sp.csr_matrix((4, 4))
     with pytest.raises(ValueError):
-        truncated_svd_left(A, SvdOptions(rank=2))
+        truncated_svd_left(A, 2)
 
 
 def test_svd_deterministic():
     rng = np.random.default_rng(9)
     A = gapped_sparse_matrix(rng, 30, 40, r=4)
-    opts = SvdOptions(rank=4, rng_seed=77)
-    Q1 = truncated_svd_left(A, opts)
-    Q2 = truncated_svd_left(A, opts)
+    Q1 = truncated_svd_left(A, 4, 77)
+    Q2 = truncated_svd_left(A, 4, 77)
     assert np.array_equal(Q1, Q2)
 
 
@@ -220,10 +210,9 @@ def test_svd_matches_two_qr_reference(make, r, bound, oracle):
     A = make()
     dense = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :r]
     for seed in range(3):
-        opts = SvdOptions(rank=r, rng_seed=seed)
         log = {}
-        Q = truncated_svd_left(A, opts, log)
-        ref, iterations = two_qr_svd_left(A, opts)
+        Q = truncated_svd_left(A, r, seed, log)
+        ref, iterations = two_qr_svd_left(A, r, seed)
         assert subspace_angle_sin(Q, ref) <= bound
         assert log["iterations"] == iterations
         if oracle:
@@ -233,7 +222,7 @@ def test_svd_matches_two_qr_reference(make, r, bound, oracle):
 def test_svd_log_converged_on_gap():
     A = gapped_sparse_matrix(np.random.default_rng(5), 50, 80, r=5)
     log = {}
-    truncated_svd_left(A, SvdOptions(rank=5, rng_seed=1), log)
+    truncated_svd_left(A, 5, 1, log)
     assert log["stop"] == "converged" and log["qr_fallbacks"] == 0
     assert log["iterations"] == 4 and log["residual"] <= 1e-10
     s = np.linalg.svd(A.toarray(), compute_uv=False)
@@ -243,14 +232,14 @@ def test_svd_log_converged_on_gap():
 def test_svd_log_stalled_without_gap():
     A = sparse_binary(np.random.default_rng(8), 200, 150, 0.05)
     log = {}
-    truncated_svd_left(A, SvdOptions(rank=5, rng_seed=0), log)
+    truncated_svd_left(A, 5, 0, log)
     assert log["stop"] == "stalled" and log["qr_fallbacks"] == 0
     assert log["residual"] > 1e-10 and log["sigma_gap"] < 1.05
 
 
 def test_svd_log_gap_null_without_oversampling():
     log = {}
-    truncated_svd_left(sp.identity(4, format="csr"), SvdOptions(rank=4), log)
+    truncated_svd_left(sp.identity(4, format="csr"), 4, log=log)
     assert log["sigma_gap"] is None and log["stop"] == "converged"
 
 

@@ -350,3 +350,17 @@ def test_ranked_blocks_give_the_lists_of_one_rank_items_call():
         assert np.array_equal(np.concatenate([b[3] for b in blocks]), whole[1])
         assert set(log.pop("seconds")) == {"score", "rank"}
         assert log == whole_log
+
+
+def test_ranked_blocks_keep_32_users_past_4096_items():
+    """At the default SCORE_BLOCK, 5,000 items would give blocks of 26 users; a block keeps
+    32, so numpy's per-call cost does not swamp it. The lists are those of one call."""
+    rng = np.random.default_rng(8)
+    n, m2, K = 70, 5000, 5
+    scores = rng.standard_normal((n, m2))
+    train = InteractionTensor(n, m2, [sp.csr_matrix(rng.random((n, m2)) < 0.01)], ["t"])
+    users = np.arange(n)
+    blocks = list(ranked_blocks(lambda b: scores[b], users, K, train, {}))
+    assert [len(block) for _, block, _, _ in blocks] == [32, 32, 6]
+    whole = rank_items(scores, users, K, train, {})
+    assert np.array_equal(np.concatenate([items for *_, items, _ in blocks]), whole[0])

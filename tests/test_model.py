@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import block_binary_tensor, random_binary_tensor, random_orthonormal, with_metadata
 from popsi.data import InteractionTensor, ParsedLog, build_tensor
-from popsi.linalg import ORTHO_TOL, SvdOptions, truncated_svd_left
+from popsi.linalg import ORTHO_TOL, truncated_svd_left
 from popsi.model import (
     FeatureSpaces,
     build_popularity_features,
@@ -179,7 +179,7 @@ def test_popularity_features_invalid_p():
 
 def test_estimate_subspaces_rank1():
     tensor = tensor_from_entries(4, 4, [[(1, 2)]])
-    spaces = estimate_subspaces(tensor, 1, SvdOptions(rank=1))
+    spaces = estimate_subspaces(tensor, 1)
     assert np.allclose(np.abs(spaces.W.ravel()), [0, 1, 0, 0], atol=1e-10)
     assert np.allclose(np.abs(spaces.H.ravel()), [0, 0, 1, 0], atol=1e-10)
 
@@ -187,7 +187,7 @@ def test_estimate_subspaces_rank1():
 def test_estimate_subspaces_single_slice_is_matrix_svd():
     rng = np.random.default_rng(1)
     tensor = block_binary_tensor(rng, [6, 4, 2], [5, 4, 3], 1, noise=4)
-    spaces = estimate_subspaces(tensor, 3, SvdOptions(rank=3, rng_seed=5))
+    spaces = estimate_subspaces(tensor, 3, 5)
     U, s, Vt = np.linalg.svd(tensor.target.toarray(), full_matrices=False)
     assert np.max(np.abs(spaces.W @ spaces.W.T - U[:, :3] @ U[:, :3].T)) <= 1e-8
 
@@ -196,13 +196,11 @@ def test_estimate_subspaces_equals_sequential_svds():
     """The overlapped SVDs give the bases and reports of two lone calls, bit for bit;
     ell = 47 is no multiple of the power step's column chunk."""
     tensor = random_binary_tensor(np.random.default_rng(21), 80, 60, 3, density=0.2)
-    opts = SvdOptions(rank=37, rng_seed=4)
     log = {}
-    spaces = estimate_subspaces(tensor, 37, opts, log)
+    spaces = estimate_subspaces(tensor, 37, 4, log)
     for mode, got, seed in [(1, spaces.W, 4), (2, spaces.H, 5)]:
         want_log = {}
-        want = truncated_svd_left(unfold(tensor, mode), SvdOptions(rank=37, rng_seed=seed),
-                                  want_log)
+        want = truncated_svd_left(unfold(tensor, mode), 37, seed, want_log)
         assert np.array_equal(got, want)
         assert log[f"mode{mode}"].pop("seconds") >= 0 and log[f"mode{mode}"] == want_log
 
@@ -216,10 +214,10 @@ def test_estimate_subspaces_failure_is_the_sequential_one(m1, m2):
     tensor = random_binary_tensor(np.random.default_rng(22), m1, m2, 2, density=0.5)
     with pytest.raises(ValueError) as want:
         for mode in (1, 2):
-            truncated_svd_left(unfold(tensor, mode), SvdOptions(rank=5))
+            truncated_svd_left(unfold(tensor, mode), 5)
     threads = threading.active_count()
     with pytest.raises(ValueError) as got:
-        estimate_subspaces(tensor, 5, SvdOptions(rank=5))
+        estimate_subspaces(tensor, 5)
     assert str(got.value) == str(want.value)
     assert threading.active_count() == threads
 
@@ -261,7 +259,7 @@ def test_fit_identity_bases_recover_slice():
     # dense full-rank square tensor: rank-m bases make S^1 reproduce X^1
     rng = np.random.default_rng(4)
     tensor = random_binary_tensor(rng, 6, 6, 2, density=0.5)
-    model = fit(tensor, r=6, p=0.2, use_si=True, use_pop=False, opts=SvdOptions(rank=6))
+    model = fit(tensor, r=6, p=0.2, use_si=True, use_pop=False)
     W, H = model.spaces.W, model.spaces.H
     recon = W @ model.cores[0] @ H.T
     assert np.max(np.abs(recon - tensor.target.toarray())) <= 1e-8
@@ -271,7 +269,7 @@ def test_fit_cores_match_least_squares_oracle():
     rng = np.random.default_rng(5)
     tensor = random_binary_tensor(rng, 12, 10, 3, density=0.25)
     r = 4
-    model = fit(tensor, r=r, use_si=True, use_pop=False, opts=SvdOptions(rank=r, rng_seed=2))
+    model = fit(tensor, r=r, use_si=True, use_pop=False, seed=2)
     W, H = model.spaces.W, model.spaces.H
     for k, Xk in enumerate(tensor.slices):
         # brute-force normal equations on the Kronecker system
@@ -287,7 +285,7 @@ def test_fit_matrix_variant_is_truncated_svd_reconstruction():
     rng = np.random.default_rng(6)
     tensor = block_binary_tensor(rng, [7, 5, 3], [6, 4, 2], 3, noise=5)
     r = 3
-    model = fit(tensor, r=r, use_si=False, use_pop=False, opts=SvdOptions(rank=r, rng_seed=3))
+    model = fit(tensor, r=r, use_si=False, use_pop=False, seed=3)
     assert len(model.cores) == 1
     U, s, Vt = np.linalg.svd(tensor.target.toarray(), full_matrices=False)
     expected = U[:, :r] @ np.diag(s[:r]) @ Vt[:r]
@@ -298,7 +296,7 @@ def test_fit_matrix_variant_is_truncated_svd_reconstruction():
 def test_fit_with_pop_orthogonality():
     rng = np.random.default_rng(7)
     tensor = random_binary_tensor(rng, 20, 16, 2, density=0.25)
-    model = fit(tensor, r=5, p=0.25, use_si=True, use_pop=True, opts=SvdOptions(rank=5))
+    model = fit(tensor, r=5, p=0.25, use_si=True, use_pop=True)
     pop = np.asarray(tensor.target.sum(axis=0)).ravel()
     feats = build_popularity_features(pop, 0.25)
     assert np.max(np.abs(feats.P.T @ model.spaces.H)) <= ORTHO_TOL
@@ -309,7 +307,7 @@ def test_score_rotation_invariance():
     rng = np.random.default_rng(8)
     tensor = random_binary_tensor(rng, 10, 8, 2, density=0.3)
     r = 3
-    model = fit(tensor, r=r, use_si=True, use_pop=False, opts=SvdOptions(rank=r, rng_seed=4))
+    model = fit(tensor, r=r, use_si=True, use_pop=False, seed=4)
     R1 = random_orthonormal(rng, r, r)
     r2 = model.spaces.H.shape[1]
     R2 = random_orthonormal(rng, r2, r2)
@@ -322,14 +320,14 @@ def test_score_rotation_invariance():
 
 def test_score_zero_user():
     tensor = tensor_from_entries(4, 4, [[(1, 2), (2, 3), (1, 1)]])
-    model = fit(tensor, r=2, use_si=False, use_pop=False, opts=SvdOptions(rank=2))
+    model = fit(tensor, r=2, use_si=False, use_pop=False)
     # user 0 has no interactions anywhere; its W row is zero
     assert np.allclose(score_user(model, 0), 0.0, atol=1e-10)
 
 
 def test_score_user_out_of_range():
     tensor = tensor_from_entries(3, 3, [[(0, 0), (1, 1), (2, 2)]])
-    model = fit(tensor, r=1, use_si=False, use_pop=False, opts=SvdOptions(rank=1))
+    model = fit(tensor, r=1, use_si=False, use_pop=False)
     with pytest.raises(IndexError):
         score_user(model, 3)
 
@@ -337,7 +335,7 @@ def test_score_user_out_of_range():
 def test_score_user_block_matches_rows():
     rng = np.random.default_rng(10)
     tensor = random_binary_tensor(rng, 10, 8, 2, density=0.3)
-    model = fit(tensor, r=3, use_si=True, use_pop=False, opts=SvdOptions(rank=3))
+    model = fit(tensor, r=3, use_si=True, use_pop=False)
     users = np.array([4, 0, 9, 4])
     block = score_user(model, users, 1)
     assert block.shape == (4, 8)
@@ -405,7 +403,7 @@ def test_rank_items_matches_full_stable_sort(seed):
 def test_model_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     tensor = random_binary_tensor(rng, 12, 10, 2, density=0.3)
-    model = fit(tensor, r=3, p=0.3, use_si=True, use_pop=True, opts=SvdOptions(rank=3))
+    model = fit(tensor, r=3, p=0.3, use_si=True, use_pop=True)
     path = tmp_path / "model.bin"
     save_model(model, path)
     back = load_model(path)
@@ -430,7 +428,7 @@ def test_model_serialization_roundtrip(tmp_path):
 def test_model_without_a_metadata_key(tmp_path, key):
     tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 1, density=0.4)
     path = tmp_path / "model.bin"
-    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    save_model(fit(tensor, r=2, use_pop=False), path)
     path.write_bytes(with_metadata(path.read_bytes(), lambda m: m.pop(key)))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model metadata has no key "
                                          f"'{key}'$"):
@@ -457,7 +455,7 @@ def _split_record(edit):
         "sha-int"])
 def test_model_with_a_mistyped_metadata_field(tmp_path, edit):
     tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 2, density=0.4)
-    model = fit(tensor, r=5, opts=SvdOptions(rank=5))
+    model = fit(tensor, r=5)
     assert model.spaces.H.shape[1] == 4  # r_refined differs from r, so a swap shows
     model.trained_on = {"split": {"ratios": [0.8, 0.1, 0.1], "rng_seed": 1},
                         "train_sha256": "0" * 64}
@@ -479,7 +477,7 @@ def test_model_bad_magic(tmp_path):
 def test_model_unsupported_version(tmp_path):
     tensor = random_binary_tensor(np.random.default_rng(12), 8, 6, 1, density=0.4)
     path = tmp_path / "model.bin"
-    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    save_model(fit(tensor, r=2, use_pop=False), path)
     data = path.read_bytes()
     path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
     with pytest.raises(ValueError, match="unsupported model version 2"):
@@ -490,7 +488,7 @@ def test_model_truncated_file(tmp_path):
     rng = np.random.default_rng(12)
     tensor = random_binary_tensor(rng, 8, 6, 1, density=0.4)
     path = tmp_path / "model.bin"
-    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    save_model(fit(tensor, r=2, use_pop=False), path)
     data = path.read_bytes()
     for cut in (10, 20, len(data) - 12, len(data) - 1):
         path.write_bytes(data[:cut])
@@ -502,7 +500,7 @@ def test_model_trailing_bytes(tmp_path):
     rng = np.random.default_rng(13)
     tensor = random_binary_tensor(rng, 8, 6, 1, density=0.4)
     path = tmp_path / "model.bin"
-    save_model(fit(tensor, r=2, use_pop=False, opts=SvdOptions(rank=2)), path)
+    save_model(fit(tensor, r=2, use_pop=False), path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_model(path)
@@ -518,28 +516,28 @@ def test_fit_reuses_the_svd_pair_of_the_last_fit_on_a_tensor(monkeypatch):
 
     estimate, calls = popsi.model.estimate_subspaces, []
 
-    def counted(t, r, opts, log=None):
-        calls.append((t.n, r, opts.rng_seed))
-        return estimate(t, r, opts, log)
+    def counted(t, r, seed, log=None):
+        calls.append((t.n, r, seed))
+        return estimate(t, r, seed, log)
 
     monkeypatch.setattr("popsi.model.estimate_subspaces", counted)
-    tensor, opts = make(), SvdOptions(rank=3, rng_seed=1)
+    tensor = make()
     variants = [{"p": 0.2}, {"p": 0.4}, {"p": 0.4, "use_pop": False}]
     logs = [{} for _ in variants]
-    models = [fit(tensor, r=3, opts=opts, log=log, **kw) for kw, log in zip(variants, logs)]
+    models = [fit(tensor, r=3, seed=1, log=log, **kw) for kw, log in zip(variants, logs)]
     assert calls == [(2, 3, 1)]
     assert ["svd" in log for log in logs] == [True, False, False]
     for kw, model in zip(variants, models):
-        fresh = fit(make(), r=3, opts=opts, **kw)
+        fresh = fit(make(), r=3, seed=1, **kw)
         for got, want in zip([model.spaces.W, model.spaces.H, *model.cores],
                              [fresh.spaces.W, fresh.spaces.H, *fresh.cores]):
             assert np.array_equal(got, want)
     calls.clear()
-    fit(tensor, r=2, opts=SvdOptions(rank=2, rng_seed=1))
-    fit(tensor, r=2, opts=SvdOptions(rank=2, rng_seed=2))
-    fit(tensor, r=2, use_si=False, opts=SvdOptions(rank=2, rng_seed=2))
-    fit(tensor, r=2, p=0.4, opts=SvdOptions(rank=2, rng_seed=2))  # the tensor's last pair
-    fit(tensor, r=2, use_si=False, use_pop=False, opts=SvdOptions(rank=2, rng_seed=2))
+    fit(tensor, r=2, seed=1)
+    fit(tensor, r=2, seed=2)
+    fit(tensor, r=2, use_si=False, seed=2)
+    fit(tensor, r=2, p=0.4, seed=2)  # the tensor's last pair
+    fit(tensor, r=2, use_si=False, use_pop=False, seed=2)
     assert calls == [(2, 2, 1), (2, 2, 2), (1, 2, 2)]
 
 
