@@ -17,54 +17,40 @@ SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as co
 MAX_ITERS = 60  # power steps at most
 
 
-def _cholesky_qr2(
-    Y: np.ndarray, with_q: bool = True
-) -> tuple[np.ndarray | None, np.ndarray] | None:
-    """Y = Q R (Q orthonormal, R upper triangular) by two CholeskyQR passes.
+def _cholesky_qr2(blocks, with_q: bool = True) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """Y = Q R (Q orthonormal, R upper triangular) by two CholeskyQR passes, for the Y
+    stacked from the row blocks that each call of `blocks()` yields anew.
 
-    Each pass is Q <- Q L^-T with L = chol(Q^T Q) (Fukaya et al., ScalA 2014).
-    R does not depend on the second pass's Q, so without `with_q` that
-    product is skipped and Q is None. None when a Cholesky fails or the
-    first pass leaves Q^T Q far from I (cond(Y) beyond ~1e8); the caller
+    Each pass is Q <- Q L^-T with L = chol(Q^T Q) (Fukaya et al., ScalA 2014), where
+    Q^T Q is summed over the row blocks: the second pass recomputes each block of
+    the first pass's Q, so neither Y nor that Q is held whole. Q is made only for
+    a one-block Y with `with_q`; otherwise it is None. None when a Cholesky fails
+    or the first pass leaves Q^T Q far from I (cond(Y) beyond ~1e8); the caller
     then uses Householder QR.
     """
-    Q, R = Y, np.eye(Y.shape[1])
-    for npass in range(2):
-        G = Q.T @ Q
-        if npass and np.linalg.norm(G - np.eye(len(G))) > 0.5:
+    try:
+        L = np.linalg.cholesky(sum(B.T @ B for B in blocks()))
+        T = np.tril(np.linalg.inv(L)).T
+        G = 0
+        for Q in blocks():
+            Q = Q @ T  # frees the block of Y: at most two blocks are held
+            G = G + Q.T @ Q
+        if np.linalg.norm(G - np.eye(len(G))) > 0.5:
             return None
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            return None
-        R = L.T @ R
-        if npass and not with_q:
-            return None, R
-        Q = Q @ np.tril(np.linalg.inv(L)).T
-    return Q, R
+        L2 = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return (Q @ np.tril(np.linalg.inv(L2)).T if with_q else None), L2.T @ L.T
 
 
-def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None = None) -> np.ndarray:
-    """Orthonormal basis of the dominant-r left singular subspace of sparse A.
-
-    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
-    each power step applies A A^T and orthonormalizes only the short m x ell
-    block. Steps continue past POWER_ITERS until the projector stops moving
-    (SVD_TOL) or MAX_ITERS is hit. Every QR is CholeskyQR2, with
-    Householder QR for blocks too ill-conditioned for it. Deterministic for a
-    fixed seed. When `log` is given it is filled with the iteration count, the
-    stop reason, the final residual, the gap sigma_r / sigma_{r+1} (None when
-    r = min(dims) or sigma_{r+1} = 0) and the number of Householder fallbacks.
-    """
-    return _rayleigh_ritz(*_subspace_iteration(A, r, seed), r, log)
-
-
-def _qr(Y: np.ndarray, report: dict, with_q: bool = True):
-    """CholeskyQR2, or Householder QR counted in report["qr_fallbacks"]."""
-    QR = _cholesky_qr2(Y, with_q)
+def _qr(Y, report: dict, with_q: bool = True):
+    """CholeskyQR2 of Y, or of the row blocks that Y() yields when Y is a function;
+    Householder QR of the whole when it fails, counted in report["qr_fallbacks"]."""
+    blocks = Y if callable(Y) else lambda: [Y]
+    QR = _cholesky_qr2(blocks, with_q)
     if QR is None:
         report["qr_fallbacks"] += 1
-        QR = np.linalg.qr(Y)
+        QR = np.linalg.qr(np.concatenate(list(blocks())))
     return QR
 
 
@@ -77,9 +63,20 @@ def _power_step(A: sp.csr_matrix, At: sp.csr_matrix, Q: np.ndarray) -> np.ndarra
     return Y
 
 
-def _subspace_iteration(A: sp.spmatrix, r: int, seed: int):
-    """The power steps of `truncated_svd_left`: the last m x ell block Q, A^T as
-    CSR, and the iteration count, stop reason, residual and QR fallbacks."""
+def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None = None) -> np.ndarray:
+    """Orthonormal basis of the dominant-r left singular subspace of sparse A.
+
+    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
+    each power step applies A A^T and orthonormalizes only the short m x ell
+    block. Steps continue past POWER_ITERS until the projector stops moving
+    (SVD_TOL) or MAX_ITERS is hit. The Ritz step takes the R factor of A^T Q
+    from its row blocks, each a quarter of a power step's 32-column chunk.
+    Every QR is CholeskyQR2, with Householder QR for blocks too
+    ill-conditioned for it. Deterministic for a fixed seed. When `log` is
+    given it is filled with the iteration count, the stop reason, the final
+    residual, the gap sigma_r / sigma_{r+1} (None when r = min(dims) or
+    sigma_{r+1} = 0) and the number of Householder fallbacks.
+    """
     m, n = A.shape
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must be >= 1, got {r}" if r < 1 else
@@ -120,18 +117,15 @@ def _subspace_iteration(A: sp.spmatrix, r: int, seed: int):
     else:
         raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
                            f"after {MAX_ITERS} iterations")
-    report.update(iterations=it, stop=stop, residual=float(residual))
-    return Q, At, report
-
-
-def _rayleigh_ritz(Q: np.ndarray, At: sp.csr_matrix, report: dict, r: int, log: dict | None):
-    """The leading r Ritz vectors of A in range(Q), for `_subspace_iteration`'s Q, At and report."""
     # Q^T A = R^T Z^T with Z orthonormal, so the left singular vectors of
-    # Q^T A are those of the ell x ell factor R^T
-    _, R = _qr(At @ Q, report, with_q=False)
+    # Q^T A are those of the ell x ell factor R^T. A block holds at most n x 8
+    # entries, so the two that CholeskyQR2 holds stay below a power step's chunk
+    rows = max(1, 8 * n // ell)
+    _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report, with_q=False)
     Ub, s, _ = np.linalg.svd(R.T)
     if log is not None:
-        log.update(report, sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None)
+        log.update(report, iterations=it, stop=stop, residual=float(residual),
+                   sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None)
     return np.ascontiguousarray(Q @ Ub[:, :r])
 
 

@@ -84,7 +84,7 @@ def _mean_metrics(items, pos_rows, pos_items, n_users: int, k_values: Sequence[i
         lengths_k, dcg = np.minimum(lengths, k), np.empty(len(gains))
         # np.sum groups its additions by the length summed, so each row sums
         # over its own list, as a per-user np.sum would
-        for n in np.unique(lengths_k).tolist():
+        for n in np.flatnonzero(np.bincount(lengths_k)).tolist():
             dcg[lengths_k == n] = np.sum(gains[lengths_k == n, :n], axis=1)
         recall[k] = _user_mean(hits[:, :k].sum(axis=1) / n_pos, n_users)
         ndcg[k] = _user_mean(dcg / ideal[np.minimum(n_pos, k) - 1], n_users)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import time
 import weakref
 from dataclasses import dataclass
@@ -12,14 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from popsi.data import InteractionTensor, _read_container, _write_container, item_popularity
-from popsi.linalg import (
-    ORTHO_TOL,
-    _rayleigh_ritz,
-    _subspace_iteration,
-    orthonormalize,
-    project_out,
-    truncated_svd_left,
-)
+from popsi.linalg import ORTHO_TOL, orthonormalize, project_out, truncated_svd_left
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -94,34 +86,26 @@ def estimate_subspaces(
 ) -> FeatureSpaces:
     """User/item bases from the dominant left singular subspaces of the two unfoldings.
 
-    Mode 2's power steps run on a worker thread beside the whole mode-1 SVD, and
-    its Ritz step after the join; each array operation is that of a lone
-    `truncated_svd_left` call, so the bases do not depend on the overlap. When
-    `log` is given, each SVD's report and wall time (`seconds`) go under
-    `mode1` and `mode2`.
+    Mode 2's `truncated_svd_left` runs on a worker thread beside mode 1's; each
+    array operation is that of a lone call, so the bases do not depend on the
+    overlap. When `log` is given, each SVD's report and wall time (`seconds`)
+    go under `mode1` and `mode2`.
     """
     from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on this path
 
     log = {} if log is None else log
     A1, A2 = unfold(tensor, 1), unfold(tensor, 2)
 
-    def iterate_mode2():
+    def svd(A, seed, report):
         t = time.perf_counter()
-        return _subspace_iteration(A2, r, seed + 1), time.perf_counter() - t
+        basis = truncated_svd_left(A, r, seed, report)
+        report["seconds"] = time.perf_counter() - t
+        return basis
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        mode2 = pool.submit(iterate_mode2)
-        t = time.perf_counter()
-        W = truncated_svd_left(A1, r, seed, log.setdefault("mode1", {}))
-        log["mode1"]["seconds"] = time.perf_counter() - t
-        (Q, At, report), seconds = mode2.result()
-    # glibc keeps what the worker freed resident in its own arena; hand it back
-    # before the Ritz step maps its two blocks
-    getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
-    t = time.perf_counter()
-    H = _rayleigh_ritz(Q, At, report, r, log.setdefault("mode2", {}))
-    log["mode2"]["seconds"] = seconds + time.perf_counter() - t
-    return FeatureSpaces(W, H)
+        mode2 = pool.submit(svd, A2, seed + 1, log.setdefault("mode2", {}))
+        W = svd(A1, seed, log.setdefault("mode1", {}))
+    return FeatureSpaces(W, mode2.result())
 
 
 def debias_item_space(

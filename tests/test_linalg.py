@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -82,7 +84,7 @@ def test_svd_rejects_rank_zero():
 
 def test_cholesky_qr2_matches_householder():
     Y = graded_block(np.random.default_rng(0), 2000, 60, 1e4)
-    Q, R = _cholesky_qr2(Y)
+    Q, R = _cholesky_qr2(lambda: [Y])
     Qh, _ = np.linalg.qr(Y)
     # same nested column spans as Householder, column by column
     for k in range(1, 61):
@@ -91,8 +93,12 @@ def test_cholesky_qr2_matches_householder():
     assert np.array_equal(R, np.triu(R))
     assert np.linalg.norm(Q @ R - Y) <= 1e-13 * np.linalg.norm(Y)
     # R alone skips the last Q product and is the same R, bit for bit
-    no_q, R_only = _cholesky_qr2(Y, with_q=False)
+    no_q, R_only = _cholesky_qr2(lambda: [Y], with_q=False)
     assert no_q is None and np.array_equal(R_only, R)
+    # R from row blocks (the Ritz step's form) sums the blocks' Gram matrices:
+    # the same R but for rounding
+    no_q, R_blocks = _cholesky_qr2(lambda: np.array_split(Y, 7), with_q=False)
+    assert no_q is None and np.linalg.norm(R_blocks - R) <= 1e-13 * np.linalg.norm(R)
 
 
 def test_cholesky_qr2_declines_or_is_orthonormal():
@@ -101,13 +107,16 @@ def test_cholesky_qr2_declines_or_is_orthonormal():
     # 1e10.25 and 1e10.75); the helper must decline those blocks
     for kappa in 10 ** np.arange(9, 11.01, 0.25):
         for seed in range(10):
-            out = _cholesky_qr2(graded_block(np.random.default_rng(seed), 200, 10, kappa))
+            Y = graded_block(np.random.default_rng(seed), 200, 10, kappa)
+            out = _cholesky_qr2(lambda: [Y])
             assert out is None or orthonormality_error(out[0]) <= 1e-13
 
 
 def test_cholesky_qr2_declines_repeated_columns():
     col = np.random.default_rng(1).standard_normal((100, 1))
-    assert _cholesky_qr2(np.repeat(col, 5, axis=1)) is None
+    assert _cholesky_qr2(lambda: [np.repeat(col, 5, axis=1)]) is None
+    # the same when the block is given in row blocks
+    assert _cholesky_qr2(lambda: np.array_split(np.repeat(col, 5, axis=1), 3), False) is None
 
 
 def test_svd_falls_back_on_repeated_columns():
@@ -204,6 +213,11 @@ def test_svd_deterministic():
             lambda: sparse_binary(np.random.default_rng(7), 300, 80, 0.1),
             10, 1e-12, False, id="tall",
         ),
+        # m << n with ell = 50: the Ritz step reads A^T Q in seven row blocks of 480
+        pytest.param(
+            lambda: gapped_sparse_matrix(np.random.default_rng(12), 60, 3000, r=40),
+            40, 1e-12, True, id="wide",
+        ),
     ],
 )
 def test_svd_matches_two_qr_reference(make, r, bound, oracle):
@@ -217,6 +231,19 @@ def test_svd_matches_two_qr_reference(make, r, bound, oracle):
         assert log["iterations"] == iterations
         if oracle:
             assert subspace_angle_sin(Q, dense) <= bound
+
+
+def test_svd_never_holds_a_second_n_by_ell_block():
+    """The Gaussian start block is n x ell; the Ritz step reads A^T Q in row blocks
+    of n x 8 entries, so no second n x ell product joins it."""
+    A = sp.random(150, 40_000, density=0.01, random_state=np.random.default_rng(13), format="csr")
+    tracemalloc.start()
+    try:
+        truncated_svd_left(A, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 40_000 * (100 + OVERSAMPLE) * 8
 
 
 def test_svd_log_converged_on_gap():
