@@ -7,9 +7,7 @@ import hashlib
 import json
 import math
 import os
-import platform
 import sys
-import time
 from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
 from itertools import chain
@@ -29,7 +27,7 @@ from popsi.data import (
     write_tensor,
 )
 from popsi.metrics import evaluate, ranked_blocks
-from popsi.model import fit, load_model, save_model, score_user
+from popsi.model import _timed, fit, load_model, save_model, score_user
 
 
 @dataclass
@@ -106,6 +104,16 @@ def _write_json(path: Path, obj) -> str:
     return text
 
 
+def _write_log(path: Path, log: dict) -> None:
+    """`log` with an `environment`: the BLAS thread variables and the versions of python
+    and of the numpy and scipy the command loaded (evaluate loads no scipy)."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    log["environment"] = {name: os.environ.get(name) for name in threads} | {
+        "python": ".".join(map(str, sys.version_info[:3]))} | {
+        name: sys.modules[name].__version__ for name in ("numpy", "scipy") if name in sys.modules}
+    _write_json(path, log)
+
+
 def cmd_ingest(cfg: RunConfig, args: dict) -> int:
     if target := args.get("target_behavior"):
         cfg.behaviors = [target] + [b for b in cfg.behaviors if b != target]
@@ -154,55 +162,45 @@ def cmd_fit(cfg: RunConfig, args: dict) -> int:
     _write_json(out / "effective_config.json",
                 asdict(replace(cfg, behaviors=train.behavior_labels)))
     save_model(model, out / "model.bin")
-    import scipy  # loaded by fit already
-
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    log["environment"] = {name: os.environ.get(name) for name in threads} | {
-        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
-    _write_json(out / "fit_log.json", log)
+    _write_log(out / "fit_log.json", log)
     print(f"fitted r={log['r']} r_refined={log['r_refined']} -> {out / 'model.bin'}")
     return 0
 
 
-def _fitted_split(cfg: RunConfig, tensor, model):
-    """The holdout split asked for; `model` must record it and its training entries
-    (`trained_on`), so a model of another split or of other data is refused."""
-    spec = cfg.split_spec()
-    holdout = split_holdout(tensor, spec)
-    if model.trained_on != _trained_on(cfg, holdout.train):
-        out = Path(cfg.out)
-        split = model.trained_on and model.trained_on["split"]
-        fitted = split and SplitSpec(tuple(split["ratios"]), split["rng_seed"])
-        raise ValueError(f"{out / 'model.bin'} records split {fitted}, and the training entries "
-                         f"of split {spec} of {out / 'tensor.bin'} do not match it; ask for "
-                         "the split the model records, or run `popsi fit` again")
-    return holdout
+def _fitted_run(cfg: RunConfig, seconds: dict):
+    """The run's (model, holdout) for the split asked for, timed in `seconds` (`load`,
+    `split`); a model that does not record that split and its training entries is refused."""
+    out, spec = Path(cfg.out), cfg.split_spec()
+    with _timed(seconds, "load"):
+        tensor, model = read_tensor(out / "tensor.bin"), load_model(out / "model.bin")
+    with _timed(seconds, "split"):
+        holdout = split_holdout(tensor, spec)
+        if model.trained_on != _trained_on(cfg, holdout.train):
+            split = model.trained_on and model.trained_on["split"]
+            fitted = split and SplitSpec(tuple(split["ratios"]), split["rng_seed"])
+            raise ValueError(f"{out / 'model.bin'} records split {fitted}, and the training "
+                             f"entries of split {spec} of {out / 'tensor.bin'} do not match "
+                             "it; ask for the split the model records, or run `popsi fit` again")
+    return model, holdout
 
 
 def cmd_evaluate(cfg: RunConfig, args: dict) -> int:
-    out = Path(cfg.out)
-    t0 = time.perf_counter()
-    tensor = read_tensor(out / "tensor.bin")
-    model = load_model(out / "model.bin")
-    t1 = time.perf_counter()
-    holdout = _fitted_split(cfg, tensor, model)
-    t2 = time.perf_counter()
-    log: dict = {}
+    out, seconds, log = Path(cfg.out), {}, {}
+    model, holdout = _fitted_run(cfg, seconds)
     config = {"r": model.spaces.r, "p": model.p, "use_si": model.use_si,
               "use_pop": model.use_pop, "seed": cfg.seed}
     report = evaluate(partial(score_user, model), holdout.test, holdout.train,
                       cfg.k_values, config, log)
-    log["seconds"].update(load=t1 - t0, split=t2 - t1)
-    _write_json(out / "eval_log.json", log)
+    log["seconds"].update(seconds)
+    _write_log(out / "eval_log.json", log)
     print(_write_json(out / "report.json", report.to_dict()), end="")
     return 0
 
 
 def cmd_recommend(cfg: RunConfig, args: dict) -> int:
     out, tokens, K = Path(cfg.out), args["users"], cfg.k_values[0]
-    tensor = read_tensor(out / "tensor.bin")
-    model = load_model(out / "model.bin")
-    train = _fitted_split(cfg, tensor, model).train
+    model, holdout = _fitted_run(cfg, {})
+    train = holdout.train
     users, items = read_index(out / "users.txt", train.m1), read_index(out / "items.txt", train.m2)
     user_index = {token: u for u, token in enumerate(users)}
     known = np.array([user_index[t] for t in tokens if t in user_index], dtype=np.int64)

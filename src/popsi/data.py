@@ -74,16 +74,6 @@ class InteractionTensor:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def with_side_info(self, use_si: bool) -> InteractionTensor:
-        """The tensor a model is fitted on: this one, or its target slice alone when
-        `use_si` is off, built once, so that fits without side information share it."""
-        return self if use_si else self._target_only
-
-    @cached_property
-    def _target_only(self) -> InteractionTensor:
-        entries = self.entries[self.entries[:, 2] == 0]
-        return InteractionTensor.from_entries(self.m1, self.m2, entries, self.behavior_labels[:1])
-
     @cached_property
     def target_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The target slice as CSR arrays (indptr, indices), without scipy."""

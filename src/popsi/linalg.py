@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,8 +76,9 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
     ill-conditioned for it. Deterministic for a fixed seed. When `log` is
     given it is filled with the iteration count, the stop reason, the final
     residual, the gap sigma_r / sigma_{r+1} (None when r = min(dims) or
-    sigma_{r+1} = 0) and the number of Householder fallbacks.
+    sigma_{r+1} = 0), the Householder fallbacks and the call's `seconds`.
     """
+    start = time.perf_counter()
     m, n = A.shape
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must be >= 1, got {r}" if r < 1 else
@@ -123,10 +125,12 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
     rows = max(1, 8 * n // ell)
     _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report, with_q=False)
     Ub, s, _ = np.linalg.svd(R.T)
+    basis = np.ascontiguousarray(Q @ Ub[:, :r])
     if log is not None:
         log.update(report, iterations=it, stop=stop, residual=float(residual),
-                   sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None)
-    return np.ascontiguousarray(Q @ Ub[:, :r])
+                   sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None,
+                   seconds=time.perf_counter() - start)
+    return basis
 
 
 def project_out(H: np.ndarray, P: sp.spmatrix) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, Mapping, Sequence
@@ -10,7 +9,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from popsi.data import InteractionTensor, item_popularity
-from popsi.model import rank_items
+from popsi.model import _timed, rank_items
 
 SCORE_BLOCK = 1 << 17  # scores per evaluation block (1 MB of float64) up to 4,096 items
 
@@ -194,15 +193,13 @@ def ranked_blocks(score_fn: Callable[[np.ndarray], np.ndarray], users: np.ndarra
     `rank_items`'s counts, and the seconds spent scoring and ranking are
     added to `log["seconds"]["score"]` and `["rank"]`.
     """
-    clock, seconds = time.perf_counter, log.setdefault("seconds", {})
+    seconds = log.setdefault("seconds", {})
     rows = max(1, SCORE_BLOCK >> 12, SCORE_BLOCK // train.m2)  # per-call cost swamps tiny blocks
     for start in range(0, len(users), rows):
-        t0 = clock()
-        scores = score_fn(users[start : start + rows])
-        t1 = clock()
-        items, top = rank_items(scores, users[start : start + rows], K, train, log)
-        seconds["score"] = seconds.get("score", 0.0) + t1 - t0
-        seconds["rank"] = seconds.get("rank", 0.0) + clock() - t1
+        with _timed(seconds, "score"):
+            scores = score_fn(users[start : start + rows])
+        with _timed(seconds, "rank"):
+            items, top = rank_items(scores, users[start : start + rows], K, train, log)
         yield start, scores, items, top
 
 
@@ -226,7 +223,6 @@ def evaluate(
     seconds spent in each stage (`seconds`), the zero-score users, the
     whole-row sorts and the users PRI skips.
     """
-    clock = time.perf_counter
     seconds = dict.fromkeys(("score", "rank", "metrics", "pri"), 0.0)
     stats = {"zero_score_users": 0, "whole_row_sorts": 0, "seconds": seconds}
     test_users, pos_rows = np.unique(held[:, 0].astype(np.int64), return_inverse=True)
@@ -240,17 +236,15 @@ def evaluate(
         a, b = np.searchsorted(pos_rows, [start, start + len(ranked)])
         pos_scores[a:b] = scores[pos_rows[a:b] - start, pos_items[a:b]]
 
-    t0 = clock()
-    recall, ndcg = _mean_metrics(items, pos_rows, pos_items, train.m1, k_values)
-    t1 = clock()
-    quantiles = avg_rank_quantiles(test_users[pos_rows], pos_items, pos_scores)
-    skipped = int(np.count_nonzero(np.bincount(pos_rows, minlength=len(test_users)) < 2))
-    try:
-        pri_value = pri(quantiles, item_popularity(train))
-    except ValueError:
-        pri_value = None
-    seconds["metrics"] += t1 - t0
-    seconds["pri"] += clock() - t1
+    with _timed(seconds, "metrics"):
+        recall, ndcg = _mean_metrics(items, pos_rows, pos_items, train.m1, k_values)
+    with _timed(seconds, "pri"):
+        quantiles = avg_rank_quantiles(test_users[pos_rows], pos_items, pos_scores)
+        skipped = int(np.count_nonzero(np.bincount(pos_rows, minlength=len(test_users)) < 2))
+        try:
+            pri_value = pri(quantiles, item_popularity(train))
+        except ValueError:
+            pri_value = None
     if log is not None:
         log.update(stats, users_skipped_pri=skipped)
     return EvalReport(recall, ndcg, pri_value, train.m1, skipped, config or {})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -18,8 +19,16 @@ if TYPE_CHECKING:
 
 DEFAULT_RANK = 200
 DEFAULT_POPULAR_FRACTION = 0.2
-# tensor -> ((r, seed), spaces): the last SVD pair `fit` estimated on it, dropped with it
+# training tensor -> {use_si: ((r, seed), spaces)}: `fit`'s last SVD pair per use_si on it
 _LAST_SPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@contextmanager
+def _timed(seconds: dict, name: str):
+    """Add the wall time of the `with` body to seconds[name]."""
+    start = time.perf_counter()
+    yield
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 @dataclass
@@ -88,23 +97,15 @@ def estimate_subspaces(
 
     Mode 2's `truncated_svd_left` runs on a worker thread beside mode 1's; each
     array operation is that of a lone call, so the bases do not depend on the
-    overlap. When `log` is given, each SVD's report and wall time (`seconds`)
-    go under `mode1` and `mode2`.
+    overlap. When `log` is given, each SVD's report goes under `mode1` and `mode2`.
     """
     from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on this path
 
     log = {} if log is None else log
     A1, A2 = unfold(tensor, 1), unfold(tensor, 2)
-
-    def svd(A, seed, report):
-        t = time.perf_counter()
-        basis = truncated_svd_left(A, r, seed, report)
-        report["seconds"] = time.perf_counter() - t
-        return basis
-
     with ThreadPoolExecutor(max_workers=1) as pool:
-        mode2 = pool.submit(svd, A2, seed + 1, log.setdefault("mode2", {}))
-        W = svd(A1, seed, log.setdefault("mode1", {}))
+        mode2 = pool.submit(truncated_svd_left, A2, r, seed + 1, log.setdefault("mode2", {}))
+        W = truncated_svd_left(A1, r, seed, log.setdefault("mode1", {}))
     return FeatureSpaces(W, mode2.result())
 
 
@@ -142,39 +143,36 @@ def fit(
 ) -> PreferenceModel:
     """Full fitting pipeline; ablation flags drop side information and/or the debias step.
 
-    Items are labelled popular by their counts in the target slice of
-    `tensor`. p and the debias step act only after the SVDs, so a fit that
-    repeats r and the seed of the last fit on a tensor reuses its SVD pair.
-    When `log` is given it is filled with per-step timings, the refined
-    width, the two SVD reports (`svd.mode1`, `svd.mode2`, when the SVDs ran)
-    and the debias report (`debias`, None when `use_pop` is off).
+    Without side information only the target slice of `tensor` is fitted.
+    Items are labelled popular by their target-slice counts. p and the debias
+    step act only after the SVDs, so a fit that repeats r and the seed of the
+    last fit on `tensor` with its `use_si` reuses that SVD pair. When `log` is
+    given it gets the seconds of each step run (`seconds{svd, debias, cores}`),
+    the refined width, the two SVD reports (`svd.mode1`, `svd.mode2`, when the
+    SVDs ran) and the debias report (`debias`, None when `use_pop` is off).
     """
-    tensor = tensor.with_side_info(use_si)
-    debias_log = {} if use_pop else None
+    last = _LAST_SPACES.setdefault(tensor, {})
+    if not use_si:
+        entries = tensor.entries[tensor.entries[:, 2] == 0]
+        tensor = InteractionTensor.from_entries(tensor.m1, tensor.m2, entries,
+                                                tensor.behavior_labels[:1])
+    log = {} if log is None else log
+    log["seconds"] = seconds = {}
+    log["debias"] = debias_log = {} if use_pop else None
     # built before the SVDs, so that a bad p fails before them
     features = build_popularity_features(item_popularity(tensor), p) if use_pop else None
-    t0 = time.perf_counter()
-    key, spaces = _LAST_SPACES.get(tensor, (None, None))
+    key, spaces = last.get(use_si, (None, None))
     if key != (r, seed):
-        svd_log = None if log is None else log.setdefault("svd", {})
-        spaces = estimate_subspaces(tensor, r, seed, svd_log)
+        with _timed(seconds, "svd"):
+            spaces = estimate_subspaces(tensor, r, seed, log.setdefault("svd", {}))
         spaces.W.flags.writeable = spaces.H.flags.writeable = False  # shared by later fits
-        _LAST_SPACES[tensor] = ((r, seed), spaces)
-    t1 = time.perf_counter()
+        last[use_si] = ((r, seed), spaces)
     if use_pop:
-        spaces = debias_item_space(spaces, features.P, debias_log)
-    t2 = time.perf_counter()
-    cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
-    t3 = time.perf_counter()
-    if log is not None:
-        log["r"] = r
-        log["r_refined"] = spaces.H.shape[1]
-        log["debias"] = debias_log
-        log["steps"] = {
-            "subspace_svd_seconds": t1 - t0,
-            "debias_seconds": (t2 - t1) if use_pop else None,
-            "cores_seconds": t3 - t2,
-        }
+        with _timed(seconds, "debias"):
+            spaces = debias_item_space(spaces, features.P, debias_log)
+    with _timed(seconds, "cores"):
+        cores = [(Xk.T @ spaces.W).T @ spaces.H for Xk in tensor.slices]
+    log.update(r=r, r_refined=spaces.H.shape[1])
     return PreferenceModel(spaces, cores, list(tensor.behavior_labels), p, use_si, use_pop)
 
 

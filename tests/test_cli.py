@@ -221,12 +221,13 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     out = tmp_path / "out"
     log = json.loads((out / "fit_log.json").read_text())
     assert log["r"] == 6 and log["r_refined"] <= 6
-    assert set(log["steps"]) == {"subspace_svd_seconds", "debias_seconds", "cores_seconds"}
+    assert set(log["seconds"]) == {"svd", "debias", "cores"}
+    assert all(t >= 0 for t in log["seconds"].values())
     for mode in ("mode1", "mode2"):
         svd = log["svd"][mode]
         assert set(svd) == {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks",
                             "seconds"}
-        assert 0 <= svd["seconds"] <= log["steps"]["subspace_svd_seconds"]
+        assert 0 <= svd["seconds"] <= log["seconds"]["svd"]
         assert svd["iterations"] >= 4 and svd["stop"] in ("converged", "stalled")
         assert svd["residual"] >= 0 and svd["sigma_gap"] >= 1
         assert 0 <= svd["qr_fallbacks"] <= svd["iterations"] + 2
@@ -245,7 +246,12 @@ def test_fit_evaluate_pipeline(workspace, capsys):
     assert report["config"]["r"] == 6 and report["config"]["seed"] == 9
     eval_log = json.loads((out / "eval_log.json").read_text())
     assert set(eval_log) == {"seconds", "zero_score_users", "whole_row_sorts",
-                             "users_skipped_pri"}
+                             "users_skipped_pri", "environment"}
+    # the same writer: evaluate's environment is fit's, less any module it did not load
+    eval_env = eval_log["environment"]
+    assert eval_env.items() <= env.items()
+    assert {"python", "numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+            "MKL_NUM_THREADS"} <= set(eval_env)
     assert set(eval_log["seconds"]) == {"load", "split", "score", "rank", "metrics", "pri"}
     assert all(t >= 0 for t in eval_log["seconds"].values())
     assert eval_log["users_skipped_pri"] == report["users_skipped_pri"]
@@ -257,8 +263,7 @@ def test_fit_no_pop_skips_debias(workspace):
     assert run(["ingest", "--config", cfg]) == 0
     assert run(["fit", "--config", cfg, "--no-pop"]) == 0
     log = json.loads((tmp_path / "out" / "fit_log.json").read_text())
-    assert set(log["steps"]) == {"subspace_svd_seconds", "debias_seconds", "cores_seconds"}
-    assert log["steps"]["debias_seconds"] is None
+    assert set(log["seconds"]) == {"svd", "cores"}
     assert log["debias"] is None
 
 

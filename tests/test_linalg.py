@@ -246,10 +246,15 @@ def test_svd_never_holds_a_second_n_by_ell_block():
     assert peak <= 1.5 * 40_000 * (100 + OVERSAMPLE) * 8
 
 
+# a lone call times itself
+SVD_LOG_KEYS = {"iterations", "stop", "residual", "sigma_gap", "qr_fallbacks", "seconds"}
+
+
 def test_svd_log_converged_on_gap():
     A = gapped_sparse_matrix(np.random.default_rng(5), 50, 80, r=5)
     log = {}
     truncated_svd_left(A, 5, 1, log)
+    assert set(log) == SVD_LOG_KEYS and log["seconds"] >= 0
     assert log["stop"] == "converged" and log["qr_fallbacks"] == 0
     assert log["iterations"] == 4 and log["residual"] <= 1e-10
     s = np.linalg.svd(A.toarray(), compute_uv=False)
@@ -260,6 +265,7 @@ def test_svd_log_stalled_without_gap():
     A = sparse_binary(np.random.default_rng(8), 200, 150, 0.05)
     log = {}
     truncated_svd_left(A, 5, 0, log)
+    assert set(log) == SVD_LOG_KEYS and log["seconds"] >= 0
     assert log["stop"] == "stalled" and log["qr_fallbacks"] == 0
     assert log["residual"] > 1e-10 and log["sigma_gap"] < 1.05
 
@@ -267,6 +273,7 @@ def test_svd_log_stalled_without_gap():
 def test_svd_log_gap_null_without_oversampling():
     log = {}
     truncated_svd_left(sp.identity(4, format="csr"), 4, log=log)
+    assert set(log) == SVD_LOG_KEYS and log["seconds"] >= 0
     assert log["sigma_gap"] is None and log["stop"] == "converged"
 
 

@@ -202,7 +202,8 @@ def test_estimate_subspaces_equals_sequential_svds():
         want_log = {}
         want = truncated_svd_left(unfold(tensor, mode), 37, seed, want_log)
         assert np.array_equal(got, want)
-        assert log[f"mode{mode}"].pop("seconds") >= 0 and log[f"mode{mode}"] == want_log
+        assert log[f"mode{mode}"].pop("seconds") >= 0 and want_log.pop("seconds") >= 0
+        assert log[f"mode{mode}"] == want_log
 
 
 @pytest.mark.parametrize("m1, m2", [(10, 4), (4, 10), (4, 3)],
