@@ -27,7 +27,8 @@ from popsi.data import (
     write_tensor,
 )
 from popsi.metrics import evaluate, ranked_blocks
-from popsi.model import _timed, fit, load_model, save_model, score_user
+from popsi.model import DEFAULT_POPULAR_FRACTION, DEFAULT_RANK, _timed, fit, load_model
+from popsi.model import save_model, score_user
 
 
 @dataclass
@@ -40,8 +41,8 @@ class RunConfig:
     val_ratio: float = 0.1
     test_ratio: float = 0.1
     seed: int = 0
-    r: int = 200
-    p: float = 0.2
+    r: int = DEFAULT_RANK
+    p: float = DEFAULT_POPULAR_FRACTION
     use_si: bool = True
     use_pop: bool = True
     k_values: list[int] = field(default_factory=lambda: [20, 50])

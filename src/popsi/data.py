@@ -60,12 +60,8 @@ class InteractionTensor:
     def slices(self) -> list[sp.csr_matrix]:
         import scipy.sparse as sp
 
-        slices = []
-        for k in range(self.n):
-            u, v = self._pairs(k)
-            csr = (np.ones(len(v)), v, row_pointers(u, self.m1))
-            slices.append(sp.csr_matrix(csr, shape=(self.m1, self.m2)))
-        return slices
+        return [sp.csr_matrix((np.ones(len(v)), v, indptr), shape=(self.m1, self.m2))
+                for indptr, v in map(self._rows, range(self.n))]
 
     @property
     def target(self) -> sp.csr_matrix:
@@ -77,20 +73,13 @@ class InteractionTensor:
     @cached_property
     def target_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The target slice as CSR arrays (indptr, indices), without scipy."""
-        u, v = self._pairs(0)
-        return row_pointers(u, self.m1), v
+        return self._rows(0)
 
-    def _pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """User and item columns of slice k's entries, in (u, v) order."""
+    def _rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Slice k as CSR arrays (indptr, indices); its entries are already in (u, v) order."""
         at = self.entries[:, 2] == k
-        return self.entries[at, 0], self.entries[at, 1]
-
-
-def row_pointers(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """CSR indptr of the entries in rows `rows`, for their columns listed row by row."""
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return indptr
+        counts = np.bincount(self.entries[at, 0], minlength=self.m1)
+        return np.r_[0, np.cumsum(counts)], self.entries[at, 1]
 
 
 def _sorted_unique(entries: np.ndarray, dims: tuple, at: str = "", sort: bool = True) -> np.ndarray:
@@ -208,25 +197,28 @@ def parse_interactions(
 
 def _parse_regular(text: str, behavior_labels: Sequence[str], delimiter: str) -> ParsedLog | None:
     """The log of an ASCII text whose every line is a non-empty user and item, a known behavior
-    and an empty or all-digit timestamp, with no byte up to " " but "\n" and the delimiter."""
+    and, on every line or on none, an empty or all-digit timestamp, with no byte up to " " but
+    "\n" and the delimiter."""
     if len(delimiter) != 1 or delimiter == "\n" or not text.isascii() or len(text) >= 2**30:
         return None
     raw = (text if text.endswith("\n") else text + "\n").encode() + bytes(8)
     b, sep = np.frombuffer(raw, np.uint8)[:-8], ord(delimiter)
     cuts = np.flatnonzero((b <= 32) | (b == sep)).astype(np.int32)  # field ends, or a stray
-    if len(cuts) % 4 or not (b[cuts].reshape(-1, 4) == [sep, sep, sep, 10]).all():
+    f = int(np.argmax(b[cuts] != sep)) + 1  # the first line's field count
+    if f not in (3, 4) or len(cuts) % f or (b[cuts].reshape(-1, f) != [sep] * (f - 1) + [10]).any():
         return None
-    lens = (np.diff(cuts, prepend=-1) - 1).astype(np.int32).reshape(-1, 4)
+    lens = (np.diff(cuts, prepend=-1) - 1).astype(np.int32).reshape(-1, f)
     words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes at each offset
-    starts, widths = cuts.reshape(-1, 4) - lens, np.maximum(8, lens.max(0) + 7) // 8 * 8
-    users, items, behaviors, stamps = [  # each field's bytes, zero-padded to a multiple of 8
+    starts, widths = cuts.reshape(-1, f) - lens, np.maximum(8, lens.max(0) + 7) // 8 * 8
+    users, items, behaviors, *stamps = [  # each field's bytes, zero-padded to a multiple of 8
         words[np.minimum(s[:, None] + np.arange(0, w, 8), len(words) - 1)].view(np.uint8)
         * (np.arange(w) < n[:, None]) for s, n, w in zip(starts.T, lens.T, widths)]
     del raw, b, words, cuts, starts  # the bytes of the text, freed before the checks and sorts
     kinds, behaviors = np.full(len(lens), -1), behaviors.view(f"S{behaviors.shape[1]}").ravel()
     for k, label in enumerate(map(str.encode, behavior_labels)):
         kinds[(behaviors == label) & (lens[:, 2] == len(label))] = k
-    if not lens[:, :2].all() or (kinds < 0).any() or ((stamps - 48 > 9) & (stamps > 0)).any():
+    bad_stamp = any(((t - 48 > 9) & (t > 0)).any() for t in stamps)  # neither empty nor digits
+    if not lens[:, :2].all() or (kinds < 0).any() or bad_stamp:
         return None
     del behaviors, stamps  # freed before the sorts, or glibc keeps their heap resident
     ids, tokens = [], []
@@ -288,7 +280,7 @@ def split_holdout(tensor: InteractionTensor, spec: SplitSpec) -> HoldoutSets:
 
 def item_popularity(tensor: InteractionTensor) -> np.ndarray:
     """Per-item entry count of the tensor's target slice."""
-    return np.bincount(tensor._pairs(0)[1], minlength=tensor.m2)
+    return np.bincount(tensor.target_rows[1], minlength=tensor.m2)
 
 
 # --- coordinate-triple text format: one `u v k` line per entry, 0-based, sorted ---

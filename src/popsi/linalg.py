@@ -18,17 +18,18 @@ SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as co
 MAX_ITERS = 60  # power steps at most
 
 
-def _cholesky_qr2(blocks, with_q: bool = True) -> tuple[np.ndarray | None, np.ndarray] | None:
-    """Y = Q R (Q orthonormal, R upper triangular) by two CholeskyQR passes, for the Y
-    stacked from the row blocks that each call of `blocks()` yields anew.
+def _qr(Y, report: dict) -> tuple[np.ndarray | None, np.ndarray]:
+    """Y = Q R (Q orthonormal, R upper triangular) for an array Y; R alone, with Q None,
+    for the Y stacked from the row blocks that each call of a function Y() yields anew.
 
-    Each pass is Q <- Q L^-T with L = chol(Q^T Q) (Fukaya et al., ScalA 2014), where
-    Q^T Q is summed over the row blocks: the second pass recomputes each block of
-    the first pass's Q, so neither Y nor that Q is held whole. Q is made only for
-    a one-block Y with `with_q`; otherwise it is None. None when a Cholesky fails
-    or the first pass leaves Q^T Q far from I (cond(Y) beyond ~1e8); the caller
-    then uses Householder QR.
+    Two CholeskyQR passes (Fukaya et al., ScalA 2014), each Q <- Q L^-T with
+    L = chol(Q^T Q), where Q^T Q is summed over the row blocks: the second pass
+    recomputes each block of the first pass's Q, so neither Y nor that Q is held
+    whole. When a Cholesky fails or the first pass leaves Q^T Q far from I
+    (cond(Y) beyond ~1e8), Householder QR of the whole Y instead, counted in
+    report["qr_fallbacks"].
     """
+    blocks = Y if callable(Y) else lambda: [Y]
     try:
         L = np.linalg.cholesky(sum(B.T @ B for B in blocks()))
         T = np.tril(np.linalg.inv(L)).T
@@ -36,23 +37,14 @@ def _cholesky_qr2(blocks, with_q: bool = True) -> tuple[np.ndarray | None, np.nd
         for Q in blocks():
             Q = Q @ T  # frees the block of Y: at most two blocks are held
             G = G + Q.T @ Q
-        if np.linalg.norm(G - np.eye(len(G))) > 0.5:
-            return None
-        L2 = np.linalg.cholesky(G)
+        if np.linalg.norm(G - np.eye(len(G))) <= 0.5:
+            L2 = np.linalg.cholesky(G)
+            return (None if callable(Y) else Q @ np.tril(np.linalg.inv(L2)).T), L2.T @ L.T
     except np.linalg.LinAlgError:
-        return None
-    return (Q @ np.tril(np.linalg.inv(L2)).T if with_q else None), L2.T @ L.T
-
-
-def _qr(Y, report: dict, with_q: bool = True):
-    """CholeskyQR2 of Y, or of the row blocks that Y() yields when Y is a function;
-    Householder QR of the whole when it fails, counted in report["qr_fallbacks"]."""
-    blocks = Y if callable(Y) else lambda: [Y]
-    QR = _cholesky_qr2(blocks, with_q)
-    if QR is None:
-        report["qr_fallbacks"] += 1
-        QR = np.linalg.qr(np.concatenate(list(blocks())))
-    return QR
+        pass
+    report["qr_fallbacks"] += 1
+    whole = np.concatenate(list(blocks()))
+    return (None, np.linalg.qr(whole, mode="r")) if callable(Y) else np.linalg.qr(whole)
 
 
 def _power_step(A: sp.csr_matrix, At: sp.csr_matrix, Q: np.ndarray) -> np.ndarray:
@@ -123,7 +115,7 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
     # Q^T A are those of the ell x ell factor R^T. A block holds at most n x 8
     # entries, so the two that CholeskyQR2 holds stay below a power step's chunk
     rows = max(1, 8 * n // ell)
-    _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report, with_q=False)
+    _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report)
     Ub, s, _ = np.linalg.svd(R.T)
     basis = np.ascontiguousarray(Q @ Ub[:, :r])
     if log is not None:

@@ -193,12 +193,13 @@ _REGULAR = "u1,i1,purchase,100\nu2,i1,click,7\nu1,i2,click,42\n"
         ("u1,i1,purchase,1\n,i1,click,2\n", {}, False),
         ("u1,i1,purchase,1\nu2,,click,2\n", {}, False),
         ("u1\ni1\npurchase\n1\n", {"delimiter": "\n"}, False),
+        ("u1,i1,purchase\nu2,i1,click\nu1,i2,click\n", {}, True),
     ],
     ids=["regular", "spaces", "crlf", "vt", "fs", "nel", "nbsp", "blank-line", "header",
          "three-fields", "five-fields", "empty-timestamp", "plus-timestamp",
          "underscore-timestamp", "superscript-timestamp", "arabic-indic-timestamp",
          "no-final-newline", "tab", "two-char-delimiter", "unknown-behavior", "empty-user",
-         "empty-item", "newline-delimiter"],
+         "empty-item", "newline-delimiter", "regular-three-fields"],
 )
 def test_parse_text_matches_the_loop(text, kwargs, regular):
     expected = _loop(text, **kwargs)
@@ -220,15 +221,16 @@ def test_fast_path_matches_whole_labels():
 
 _HAZARDS = ",\t \r\n\x00\x0b\x1c\x85\xa0\xb2\u0663+-_0123456789uvi"
 _TOKEN = st.text(alphabet="uvi0123456789+-_", min_size=1, max_size=12)
-_ROW = st.tuples(_TOKEN, _TOKEN, st.sampled_from(LABELS),
-                 st.text(alphabet="0123456789", max_size=12)).map(list)
+_ROW4 = st.tuples(_TOKEN, _TOKEN, st.sampled_from(LABELS),
+                  st.text(alphabet="0123456789", max_size=12)).map(list)
+_ROW = st.one_of(_ROW4, _ROW4.map(lambda row: row[:3]))  # with a timestamp or without
 
 
 @st.composite
 def _row_with_a_hazard(draw):
     """A regular row with hazard characters inserted into one of its fields."""
     fields = draw(_ROW)
-    f = draw(st.integers(0, 3))
+    f = draw(st.integers(0, len(fields) - 1))
     at = draw(st.integers(0, len(fields[f])))
     hazard = draw(st.text(alphabet=_HAZARDS, min_size=1, max_size=2))
     fields[f] = fields[f][:at] + hazard + fields[f][at:]
@@ -256,12 +258,14 @@ def test_fast_path_declines_or_matches_the_loop(lines, delimiter, ends):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    rows=st.lists(_ROW, min_size=1, max_size=30),
+    rows=st.lists(_ROW4, min_size=1, max_size=30),
+    fields=st.sampled_from([3, 4]),
     delimiter=st.sampled_from([",", "\t"]),
     final_newline=st.booleans(),
 )
-def test_fast_path_accepts_every_regular_log(rows, delimiter, final_newline):
-    text = "\n".join(delimiter.join(row) for row in rows) + ("\n" if final_newline else "")
+def test_fast_path_accepts_every_regular_log(rows, fields, delimiter, final_newline):
+    # every line with a timestamp field, or every line without one
+    text = "\n".join(delimiter.join(row[:fields]) for row in rows) + ("\n" if final_newline else "")
     fast = _parse_regular(text, LABELS, delimiter)
     assert fast is not None
     _assert_same_log(fast, _loop(text, delimiter=delimiter))
@@ -370,6 +374,26 @@ def test_item_popularity_column_counts():
     pop = item_popularity(tensor)
     assert pop.tolist() == [3, 1]
     assert pop.sum() == tensor.target.nnz
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_views_share_one_row_index(seed):
+    rng = np.random.default_rng(seed)
+    m1, m2, n = 12, 7, 3
+    entries = np.column_stack([rng.integers(0, m1 - 3, 40), rng.integers(0, m2, 40),
+                               rng.integers(0, n, 40)])
+    # slice seed % n is empty (the target for seeds 0 and 3); the last 3 users have no entries
+    entries = _sorted_unique(entries[entries[:, 2] != seed % n], (m1, m2, n))
+    tensor = InteractionTensor.from_entries(m1, m2, entries, ["a", "b", "c"])
+    indptr, indices = tensor.target_rows
+    assert np.array_equal(indptr, tensor.target.indptr)
+    assert np.array_equal(indices, tensor.target.indices)
+    assert np.array_equal(item_popularity(tensor), np.ravel(tensor.target.sum(axis=0)))
+    for k, s in enumerate(tensor.slices):
+        coo = s.tocoo()
+        expected = [(u, v) for u, v, b in entries.tolist() if b == k]
+        assert sorted(zip(coo.row.tolist(), coo.col.tolist())) == expected
+        assert s.shape == (m1, m2) and s.nnz == len(expected) and np.all(s.data == 1.0)
 
 
 def test_coordinate_triple_roundtrip(tmp_path):

@@ -11,8 +11,8 @@ from popsi.linalg import (
     OVERSAMPLE,
     POWER_ITERS,
     SVD_TOL,
-    _cholesky_qr2,
     _power_step,
+    _qr,
     orthonormalize,
     project_out,
     truncated_svd_left,
@@ -84,7 +84,8 @@ def test_svd_rejects_rank_zero():
 
 def test_cholesky_qr2_matches_householder():
     Y = graded_block(np.random.default_rng(0), 2000, 60, 1e4)
-    Q, R = _cholesky_qr2(lambda: [Y])
+    report = {"qr_fallbacks": 0}
+    Q, R = _qr(Y, report)
     Qh, _ = np.linalg.qr(Y)
     # same nested column spans as Householder, column by column
     for k in range(1, 61):
@@ -92,31 +93,40 @@ def test_cholesky_qr2_matches_householder():
     assert orthonormality_error(Q) <= 1e-13
     assert np.array_equal(R, np.triu(R))
     assert np.linalg.norm(Q @ R - Y) <= 1e-13 * np.linalg.norm(Y)
-    # R alone skips the last Q product and is the same R, bit for bit
-    no_q, R_only = _cholesky_qr2(lambda: [Y], with_q=False)
+    # Y given as one row block: no Q, and the same R, bit for bit
+    no_q, R_only = _qr(lambda: [Y], report)
     assert no_q is None and np.array_equal(R_only, R)
     # R from row blocks (the Ritz step's form) sums the blocks' Gram matrices:
     # the same R but for rounding
-    no_q, R_blocks = _cholesky_qr2(lambda: np.array_split(Y, 7), with_q=False)
+    no_q, R_blocks = _qr(lambda: np.array_split(Y, 7), report)
     assert no_q is None and np.linalg.norm(R_blocks - R) <= 1e-13 * np.linalg.norm(R)
+    assert report["qr_fallbacks"] == 0
 
 
 def test_cholesky_qr2_declines_or_is_orthonormal():
     # past cond ~1e8 the first pass may factor but leave Q^T Q far from I, and a
     # second pass from there can end short of orthonormal (in this sweep at
-    # 1e10.25 and 1e10.75); the helper must decline those blocks
+    # 1e10.25 and 1e10.75); the QR must fall back to Householder on those blocks
+    report = {"qr_fallbacks": 0}
     for kappa in 10 ** np.arange(9, 11.01, 0.25):
         for seed in range(10):
-            Y = graded_block(np.random.default_rng(seed), 200, 10, kappa)
-            out = _cholesky_qr2(lambda: [Y])
-            assert out is None or orthonormality_error(out[0]) <= 1e-13
+            Q, _ = _qr(graded_block(np.random.default_rng(seed), 200, 10, kappa), report)
+            assert orthonormality_error(Q) <= 1e-13
+    assert report["qr_fallbacks"] > 0
 
 
 def test_cholesky_qr2_declines_repeated_columns():
     col = np.random.default_rng(1).standard_normal((100, 1))
-    assert _cholesky_qr2(lambda: [np.repeat(col, 5, axis=1)]) is None
-    # the same when the block is given in row blocks
-    assert _cholesky_qr2(lambda: np.array_split(np.repeat(col, 5, axis=1), 3), False) is None
+    Y = np.repeat(col, 5, axis=1)
+    report = {"qr_fallbacks": 0}
+    Q, R = _qr(Y, report)
+    assert report["qr_fallbacks"] == 1
+    Qh, Rh = np.linalg.qr(Y)
+    assert np.array_equal(Q, Qh) and np.array_equal(R, Rh)
+    # the same when the block is given in row blocks, with R alone
+    no_q, R_blocks = _qr(lambda: np.array_split(Y, 3), report)
+    assert report["qr_fallbacks"] == 2
+    assert no_q is None and np.array_equal(R_blocks, Rh)
 
 
 def test_svd_falls_back_on_repeated_columns():
