@@ -185,16 +185,17 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
 
 def ranked_blocks(score_fn: Callable[[np.ndarray], np.ndarray], users: np.ndarray, K: int,
                   train: InteractionTensor, log: dict) -> Iterator[tuple]:
-    """Score and rank `users` in blocks of max(SCORE_BLOCK // m2, SCORE_BLOCK >> 12) users.
+    """Score and rank `users` in blocks of SCORE_BLOCK scores, or 16 to 32 users past 4,096 items.
 
     Yields `(start, scores, items, top)` for users[start : start + len(scores)]:
-    their score rows from `score_fn` and their `rank_items` lists (at most m2
-    long), each user's target entries in `train` left out. `log` gets
+    their score rows from `score_fn`, each user's target entries in `train`
+    set to -inf by `rank_items`, and their lists (at most m2 long). `log` gets
     `rank_items`'s counts, and the seconds spent scoring and ranking are
     added to `log["seconds"]["score"]` and `["rank"]`.
     """
     seconds = log.setdefault("seconds", {})
-    rows = max(1, SCORE_BLOCK >> 12, SCORE_BLOCK // train.m2)  # per-call cost swamps tiny blocks
+    rows = max(1, SCORE_BLOCK >> 13, SCORE_BLOCK // train.m2,  # per-call cost swamps tiny blocks
+               min(SCORE_BLOCK >> 12, (SCORE_BLOCK << 2) // train.m2))  # 32 users up to 4 MB
     for start in range(0, len(users), rows):
         with _timed(seconds, "score"):
             scores = score_fn(users[start : start + rows])

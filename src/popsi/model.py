@@ -199,12 +199,14 @@ def rank_items(scores: np.ndarray, users, K: int, exclude: InteractionTensor,
     of a stable descending sort of its row, so ties break by ascending item
     index. A row whose K-th score ties with an item left out takes that
     whole-row sort; `log` counts these rows in `whole_row_sorts`, and the rows
-    whose scores are all zero in `zero_score_users`.
+    whose scores are all zero in `zero_score_users`. A float64 block comes
+    back with each row's left-out items set to -inf; other input is converted.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     users = np.asarray(users)
-    masked = np.array(scores, dtype=float)
+    masked = np.asarray(scores, dtype=float)
+    zero = int(np.count_nonzero(~masked.any(axis=1)))
     n_rows, m2 = masked.shape
     indptr, indices = exclude.target_rows
     starts = indptr[users]
@@ -227,9 +229,6 @@ def rank_items(scores: np.ndarray, users, K: int, exclude: InteractionTensor,
         best = np.argsort(-masked[i], kind="stable")[:k]
         items[i], top[i] = best, masked[i, best]
     items[top == -np.inf] = -1
-    # an all-zero row has no positive candidate score, so only those rows are read
-    maybe = np.flatnonzero(~(top[:, 0] > 0))
-    zero = int(np.count_nonzero(~scores[maybe].any(axis=1)))
     log["zero_score_users"] = log.get("zero_score_users", 0) + zero
     log["whole_row_sorts"] = log.get("whole_row_sorts", 0) + len(ties)
     return items, top

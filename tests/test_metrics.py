@@ -327,15 +327,16 @@ def test_evaluate_matches_per_user_reference(seed, block_rows):
 
 def test_ranked_blocks_give_the_lists_of_one_rank_items_call():
     """For every block size, the blocks' rows, lists and counts are those of all users
-    ranked at once; the scorer is a lookup, so no product differs between block sizes."""
+    ranked at once, and each block comes back masked as that call masks its rows; the
+    scorer is a lookup, so no product differs between block sizes."""
     rng = np.random.default_rng(5)
     n, m2, K = 9, 7, 4
     scores = rng.integers(-1, 2, (n, m2)).astype(float)  # bitwise ties are common
     scores[[2, 6]] = 0.0
     train = InteractionTensor(n, m2, [sp.csr_matrix(rng.random((n, m2)) < 0.3)], ["t"])
     users = rng.permutation(n)
-    whole_log = {}
-    whole = rank_items(scores[users], users, K, train, whole_log)
+    whole_log, masked = {}, scores[users]
+    whole = rank_items(masked, users, K, train, whole_log)
     assert whole_log["zero_score_users"] == 2 and whole_log["whole_row_sorts"] > 0
     for rows in range(1, n + 1):
         log, starts = {}, []
@@ -343,7 +344,7 @@ def test_ranked_blocks_give_the_lists_of_one_rank_items_call():
             blocks = list(ranked_blocks(lambda b: scores[b], users, K, train, log))
         for start, block, items, top in blocks:
             starts.append(start)
-            assert np.array_equal(block, scores[users[start : start + len(block)]])
+            assert np.array_equal(block, masked[start : start + len(block)])
             assert len(items) == len(top) == len(block) <= rows
         assert starts == list(range(0, n, rows))
         assert np.array_equal(np.concatenate([b[2] for b in blocks]), whole[0])
@@ -362,5 +363,20 @@ def test_ranked_blocks_keep_32_users_past_4096_items():
     users = np.arange(n)
     blocks = list(ranked_blocks(lambda b: scores[b], users, K, train, {}))
     assert [len(block) for _, block, _, _ in blocks] == [32, 32, 6]
+    whole = rank_items(scores, users, K, train, {})
+    assert np.array_equal(np.concatenate([items for *_, items, _ in blocks]), whole[0])
+
+
+@pytest.mark.parametrize("m2, sizes", [(20_000, [26, 8]), (40_000, [16, 16, 2])])
+def test_ranked_blocks_hold_16_to_32_users_past_16384_items(m2, sizes):
+    """Past 16,384 items 32 users outgrow 4 MB of scores: a block holds 4 MB of them, and
+    never fewer than 16 users. The lists are those of one call."""
+    rng = np.random.default_rng(9)
+    n, K = sum(sizes), 5
+    scores = rng.standard_normal((n, m2))
+    train = InteractionTensor(n, m2, [sp.csr_matrix(rng.random((n, m2)) < 0.001)], ["t"])
+    users = np.arange(n)
+    blocks = list(ranked_blocks(lambda b: scores[b], users, K, train, {}))
+    assert [len(block) for _, block, _, _ in blocks] == sizes
     whole = rank_items(scores, users, K, train, {})
     assert np.array_equal(np.concatenate([items for *_, items, _ in blocks]), whole[0])

@@ -371,6 +371,23 @@ def test_top_k_ordering_and_exclusion():
         rank_items(scores, [0], 0, none, {})
 
 
+def test_rank_items_masks_a_float_block_where_it_lies():
+    """A float64 block comes back with each row's left-out items at -inf; an int block
+    or a list is converted and left as given. The zero-score count reads the scores
+    before the mask: a row whose only nonzero score is left out is not all zero."""
+    exclude = exclusion(3, 3, [(0, 1), (1, 2), (2, 0)])
+    given = [[0, 2, 0], [0, 0, 0], [1, 3, 2]]
+    block = np.array(given, dtype=float)
+    log = {}
+    items, _ = rank_items(block, [0, 1, 2], 2, exclude, log)
+    assert block.tolist() == [[0, -np.inf, 0], [0, 0, -np.inf], [-np.inf, 3, 2]]
+    assert log["zero_score_users"] == 1  # row 1 alone
+    for scores in (np.array(given), given):
+        again = {}
+        assert np.array_equal(rank_items(scores, [0, 1, 2], 2, exclude, again)[0], items)
+        assert np.array_equal(scores, given) and again == log
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_rank_items_matches_full_stable_sort(seed):
@@ -388,7 +405,7 @@ def test_rank_items_matches_full_stable_sort(seed):
     scores[rng.random(len(users)) < 0.3] = 0.0
     K = int(rng.integers(1, m2 + 3))
     log = {}
-    items, top = rank_items(scores, users, K, exclude, log)
+    items, top = rank_items(scores.copy(), users, K, exclude, log)  # the copy is masked
     assert items.shape == top.shape == (len(users), min(K, m2)) and items.dtype == np.int64
     assert log["zero_score_users"] == int(np.sum(~scores.any(axis=1)))
     dense = target.toarray()
