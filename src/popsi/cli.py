@@ -148,9 +148,10 @@ def cmd_ingest(cfg: RunConfig, args: dict) -> int:
 def _trained_on(cfg: RunConfig, train) -> dict:
     """The split a model is fitted on, and a digest of its training entries."""
     spec = cfg.split_spec()
-    digest = hashlib.sha256(repr(train.dims).encode() + train.entries.tobytes()).hexdigest()
+    digest = hashlib.sha256(repr(train.dims).encode())
+    digest.update(train.entries)  # read where it lies, not through a bytes copy
     return {"split": {"ratios": list(spec.ratios), "rng_seed": spec.rng_seed},
-            "train_sha256": digest}
+            "train_sha256": digest.hexdigest()}
 
 
 def cmd_fit(cfg: RunConfig, args: dict) -> int:
@@ -221,17 +222,16 @@ def cmd_recommend(cfg: RunConfig, args: dict) -> int:
 
 
 def _grid_values(param: str, text: str) -> list[float]:
-    """`--values` as finite numbers; an r value must be a whole number."""
+    """`--values` as numbers, a whole r as an int (`2.0` is r = 2), each `{param: value}`
+    checked by `_check_settings`."""
     values = []
     for token in (v.strip() for v in text.split(",")):
         try:
             value = float(token)
         except ValueError:
             raise ValueError(f"--values: {param} must be a number, got {token!r}") from None
-        if not math.isfinite(value) or (param == "r" and not value.is_integer()):
-            kind = "a whole number" if param == "r" else "a finite number"
-            raise ValueError(f"--values: {param} must be {kind}, got {token!r}")
-        values.append(value)
+        value = int(value) if param == "r" and value.is_integer() else value
+        values.append(_check_settings("--values", {param: value})[param])
     return values
 
 
@@ -243,10 +243,9 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
     rows = []
     status = 0
     for value in dict.fromkeys(values):
-        r = int(value) if param == "r" else cfg.r
-        p = float(value) if param == "p" else cfg.p
+        point = replace(cfg, **{param: value})
         try:
-            model = fit(holdout.train, r, p, cfg.use_si, cfg.use_pop, cfg.seed)
+            model = fit(holdout.train, point.r, point.p, cfg.use_si, cfg.use_pop, cfg.seed)
             # sweeps tune on the validation split
             report = evaluate(partial(score_user, model), holdout.val, holdout.train, [50])
             pri = "" if report.pri is None else f"{report.pri:.6f}"  # None: no user to rank

@@ -36,17 +36,6 @@ class EvalReport:
         return out
 
 
-def _positive_pairs(
-    test_positives: Mapping[int, Sequence[int]], users: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique (row, item) pairs, one per item in the positives of users[row]."""
-    lists = [test_positives[u] for u in users]
-    rows = np.repeat(np.arange(len(lists)), [len(p) for p in lists])
-    items = np.fromiter(chain.from_iterable(lists), np.int64, len(rows))
-    width = max(1, int(items.max(initial=-1)) + 1)
-    return np.divmod(np.unique(rows * width + items), width)
-
-
 def _user_mean(values: np.ndarray, n_users: int) -> float:
     total = 0.0
     for x in values.tolist():  # user by user, left to right, as acceptance 6's reference adds
@@ -97,7 +86,12 @@ def _dict_metrics(rec_lists, test_positives, n_users: int, K: int) -> tuple[floa
     for row, u in zip(items, users):
         rec = list(rec_lists.get(u, ()))[:K]
         row[: len(rec)] = rec
-    recall, ndcg = _mean_metrics(items, *_positive_pairs(test_positives, users), n_users, [K])
+    lists = [test_positives[u] for u in users]  # to sorted unique (row, item) pairs
+    rows = np.repeat(np.arange(len(users)), [len(p) for p in lists])
+    positives = np.fromiter(chain.from_iterable(lists), np.int64, len(rows))
+    width = max(1, int(positives.max(initial=-1)) + 1)
+    pairs = np.divmod(np.unique(rows * width + positives), width)
+    recall, ndcg = _mean_metrics(items, *pairs, n_users, [K])
     return recall[K], ndcg[K]
 
 

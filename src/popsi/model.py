@@ -206,21 +206,25 @@ def rank_items(scores: np.ndarray, users, K: int, exclude: InteractionTensor,
         raise ValueError(f"K must be >= 1, got {K}")
     users = np.asarray(users)
     masked = np.asarray(scores, dtype=float)
-    zero = int(np.count_nonzero(~masked.any(axis=1)))
     n_rows, m2 = masked.shape
     indptr, indices = exclude.target_rows
     starts = indptr[users]
     counts = indptr[users + 1] - starts
     at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    masked[np.repeat(np.arange(n_rows), counts), indices[at]] = -np.inf
+    left = np.repeat(np.arange(n_rows), counts), indices[at]  # each left-out (row, item)
+    zeros_left = counts - np.bincount(left[0][masked[left] != 0], minlength=n_rows)
+    masked[left] = -np.inf
     k = min(K, m2)  # a longer list could only be padding
     # the k best items of each row and, when an item is left out, the best one left out
     width = min(k + 1, m2)
-    chosen = np.argpartition(masked, m2 - width, axis=1)[:, m2 - width :]
-    values = np.take_along_axis(masked, chosen, axis=1)
-    order = np.lexsort((chosen, -values), axis=-1)
-    chosen = np.take_along_axis(chosen, order, axis=1)
-    values = np.take_along_axis(values, order, axis=1)
+    chosen = np.sort(np.argpartition(masked, m2 - width, axis=1)[:, m2 - width :], axis=1)
+    rows = np.arange(n_rows)[:, None]
+    # in index order, so a stable sort by descending score breaks ties by ascending index
+    chosen = chosen[rows, np.argsort(-masked[rows, chosen], axis=1, kind="stable")]
+    values = masked[rows, chosen]
+    # all zero: no kept score above 0, and no nonzero but the -inf over a left-out zero
+    maybe = np.flatnonzero(values[:, 0] <= 0)
+    zero = int(np.count_nonzero(np.count_nonzero(masked[maybe], axis=1) == zeros_left[maybe]))
     items, top = chosen[:, :k], values[:, :k]
     # the K-th best ties with an item left out, which may have the lower index
     ties = (np.flatnonzero((values[:, k - 1] == values[:, k]) & (values[:, k] > -np.inf))

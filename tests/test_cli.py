@@ -276,6 +276,24 @@ def test_fit_deterministic_model_files(workspace):
     assert (tmp_path / "out" / "model.bin").read_bytes() == first
 
 
+def test_fit_records_the_digest_of_the_training_entries_bytes(workspace):
+    """model.bin's train_sha256 is the sha256 of the training tensor's dims, then the raw
+    bytes of its entries, as `tobytes()` gives them."""
+    import hashlib
+
+    from popsi.data import split_holdout
+    from popsi.model import load_model
+
+    tmp_path, cfg = workspace
+    assert run(["ingest", "--config", cfg]) == 0
+    assert run(["fit", "--config", cfg]) == 0
+    train = split_holdout(read_tensor(tmp_path / "out" / "tensor.bin"),
+                          RunConfig(seed=9).split_spec()).train
+    digest = hashlib.sha256(repr(train.dims).encode() + train.entries.tobytes()).hexdigest()
+    assert load_model(tmp_path / "out" / "model.bin").trained_on == {
+        "split": {"ratios": [0.8, 0.1, 0.1], "rng_seed": 9}, "train_sha256": digest}
+
+
 def test_recommend_known_and_unknown(workspace, capsys):
     tmp_path, cfg = workspace
     run(["ingest", "--config", cfg])
@@ -591,7 +609,7 @@ def test_sweep_exits_1_when_a_grid_point_fails(workspace, capsys):
     rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "param,value,ndcg_at_50,pri"
     assert rows[1].startswith("r,4,0.") and rows[2] == "r,100000,,"
-    assert "r=100000" in capsys.readouterr().err
+    assert "error: r=100000 failed: " in capsys.readouterr().err
 
 
 def test_sweep_propagates_programming_errors(workspace, monkeypatch):
@@ -697,21 +715,40 @@ def test_p_sweep_with_failing_svd_blanks_every_row(workspace, capsys):
     assert "p=0.1 failed: rank 1000 exceeds" in err and "p=0.2 failed" in err
 
 
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ("20.7,20", "r must be a whole number, got '20.7'"),
-        ("4,six", "r must be a number, got 'six'"),
-        ("4,nan", "r must be a whole number, got 'nan'"),
-    ],
-    ids=["fraction", "word", "nan"],
-)
-def test_sweep_rejects_bad_value_before_fitting(workspace, capsys, values, message):
+def test_r_sweep_reads_a_whole_float_as_its_int(workspace, monkeypatch):
+    """`--values 4.0,6` is the sweep of `4,6`: the SVDs get the int 4, and sweep.csv is the
+    same file."""
     tmp_path, cfg = workspace
     run(["ingest", "--config", cfg])
-    assert run(["sweep", "--config", cfg, "--param", "r", "--values", values]) == 2
-    assert f"error: --values: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    sweeps = []
+    for values in ("4,6", "4.0,6"):
+        calls = _count_subspace_estimates(monkeypatch)
+        assert run(["sweep", "--config", cfg, "--param", "r", "--values", values]) == 0
+        assert [(type(r), r) for r in calls] == [(int, 4), (int, 6)]
+        monkeypatch.undo()
+        sweeps.append((tmp_path / "out" / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
+
+
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("r", "20.7,20", "r must be of type int, got 20.7"),
+        ("r", "4,six", "r must be a number, got 'six'"),
+        ("r", "4,nan", "r must be of type int, got nan"),
+        ("p", "0.1,inf", "p must be a finite number, got inf"),
+    ],
+    ids=["fraction", "word", "nan", "p-inf"],
+)
+def test_sweep_rejects_bad_value_before_fitting(workspace, monkeypatch, capsys, param, values,
+                                                message):
+    """A grid value is checked as a setting is, and a bad one exits 2 before any fit."""
+    tmp_path, cfg = workspace
+    run(["ingest", "--config", cfg])
+    calls = _count_subspace_estimates(monkeypatch)
+    assert run(["sweep", "--config", cfg, "--param", param, "--values", values]) == 2
+    assert capsys.readouterr().err == f"error: --values: {message}\n"
+    assert calls == [] and not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_sweep_csv(workspace):

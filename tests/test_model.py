@@ -388,6 +388,32 @@ def test_rank_items_masks_a_float_block_where_it_lies():
         assert np.array_equal(scores, given) and again == log
 
 
+@pytest.mark.parametrize("K", [1, 2, 9])
+def test_rank_items_counts_the_rows_all_zero_as_given(K):
+    """`zero_score_users` counts the rows of the block as given that hold no nonzero,
+    whatever was left out of them, and whatever their best kept score."""
+    # user 0 leaves out nothing, user 1 item 1, user 2 items 0 and 2, user 3 every item
+    exclude = exclusion(4, 4, [(1, 1), (2, 0), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
+    rows = [
+        (0, [0, 0, 0, 0]),  # all zero
+        (1, [0, 0, 0, 0]),  # all zero, with an item left out
+        (3, [0, 0, 0, 0]),  # all zero, with every item left out
+        (0, [0, -1, 0, -2]),  # best kept score 0, beside negative scores
+        (2, [0, -1, -3, 0]),  # best kept score 0, a negative one left out
+        (2, [0, -1, 0, 0]),  # best kept score 0, the left-out scores 0
+        (1, [0, 5, 0, 0]),  # the only nonzero score left out
+        (2, [2, 0, -1, 0]),  # every nonzero score left out
+        (3, [0, 0, 1, 0]),  # every item left out, one nonzero
+        (0, [1, 0, 0, 0]),
+    ]
+    users = np.array([u for u, _ in rows])
+    block = np.array([scores for _, scores in rows], dtype=float)
+    given = block.copy()
+    log = {}
+    rank_items(block, users, K, exclude, log)
+    assert log["zero_score_users"] == (~given.any(axis=1)).sum() == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_rank_items_matches_full_stable_sort(seed):
