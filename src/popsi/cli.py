@@ -116,6 +116,8 @@ def _write_log(path: Path, log: dict) -> None:
 
 
 def cmd_ingest(cfg: RunConfig, args: dict) -> int:
+    if not cfg.input:  # an empty path would name the working directory
+        raise ValueError("no input log: give --input, or input in a --config file")
     if target := args.get("target_behavior"):
         cfg.behaviors = [target] + [b for b in cfg.behaviors if b != target]
     text = Path(cfg.input).read_text()  # in text mode; an unreadable input is main's OSError

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -16,6 +17,14 @@ OVERSAMPLE = 10  # columns of the iterated block beyond the rank
 POWER_ITERS = 4  # power steps before the stop rule is read
 SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as converged
 MAX_ITERS = 60  # power steps at most
+
+
+@contextmanager
+def _timed(seconds: dict, name: str):
+    """Add the wall time of the `with` body to seconds[name]."""
+    start = time.perf_counter()
+    yield
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 def _qr(Y, report: dict) -> tuple[np.ndarray | None, np.ndarray]:
@@ -70,58 +79,57 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
     residual, the gap sigma_r / sigma_{r+1} (None when r = min(dims) or
     sigma_{r+1} = 0), the Householder fallbacks and the call's `seconds`.
     """
-    start = time.perf_counter()
-    m, n = A.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank must be >= 1, got {r}" if r < 1 else
-                         f"rank {r} exceeds min(dims) = {min(m, n)}")
-    if A.nnz == 0:
-        raise ValueError("matrix has no entries")
-
-    rng = np.random.default_rng(seed)
-    ell = min(r + OVERSAMPLE, min(m, n))
-    A = A.tocsr()
-    At = A.T.tocsr()
     report = {"qr_fallbacks": 0}  # blocks that took Householder QR
+    with _timed(report, "seconds"):
+        m, n = A.shape
+        if not 1 <= r <= min(m, n):
+            raise ValueError(f"rank must be >= 1, got {r}" if r < 1 else
+                             f"rank {r} exceeds min(dims) = {min(m, n)}")
+        if A.nnz == 0:
+            raise ValueError("matrix has no entries")
 
-    Q, _ = _qr(A @ rng.standard_normal((n, ell)), report)
-    residual = np.inf
-    stalled = 0
-    for it in range(1, MAX_ITERS + 1):
-        Q_new, _ = _qr(_power_step(A, At, Q), report)
-        prev = residual
-        # projector movement of the leading r columns between iterations; first
-        # read (as prev) at step POWER_ITERS
-        if it >= POWER_ITERS - 1:
-            lead = Q_new[:, :r]
-            moved = Q[:, :r] @ (Q[:, :r].T @ lead)
-            residual = np.linalg.norm(np.subtract(lead, moved, out=moved))
-        Q = Q_new
-        if it < POWER_ITERS:
-            continue
-        if residual <= SVD_TOL:
-            stop = "converged"
-            break
-        # decay slower than 2x per step means the spectrum has no usable gap
-        # at r; further power steps cannot meaningfully improve the basis
-        stalled = stalled + 1 if residual > 0.5 * prev else 0
-        if stalled >= 2:
-            stop = "stalled"
-            break
-    else:
-        raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
-                           f"after {MAX_ITERS} iterations")
-    # Q^T A = R^T Z^T with Z orthonormal, so the left singular vectors of
-    # Q^T A are those of the ell x ell factor R^T. A block holds at most n x 8
-    # entries, so the two that CholeskyQR2 holds stay below a power step's chunk
-    rows = max(1, 8 * n // ell)
-    _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report)
-    Ub, s, _ = np.linalg.svd(R.T)
-    basis = np.ascontiguousarray(Q @ Ub[:, :r])
+        rng = np.random.default_rng(seed)
+        ell = min(r + OVERSAMPLE, min(m, n))
+        A = A.tocsr()
+        At = A.T.tocsr()
+
+        Q, _ = _qr(A @ rng.standard_normal((n, ell)), report)
+        residual = np.inf
+        stalled = 0
+        for it in range(1, MAX_ITERS + 1):
+            Q_new, _ = _qr(_power_step(A, At, Q), report)
+            prev = residual
+            # projector movement of the leading r columns between iterations; first
+            # read (as prev) at step POWER_ITERS
+            if it >= POWER_ITERS - 1:
+                lead = Q_new[:, :r]
+                moved = Q[:, :r] @ (Q[:, :r].T @ lead)
+                residual = np.linalg.norm(np.subtract(lead, moved, out=moved))
+            Q = Q_new
+            if it < POWER_ITERS:
+                continue
+            if residual <= SVD_TOL:
+                stop = "converged"
+                break
+            # decay slower than 2x per step means the spectrum has no usable gap
+            # at r; further power steps cannot meaningfully improve the basis
+            stalled = stalled + 1 if residual > 0.5 * prev else 0
+            if stalled >= 2:
+                stop = "stalled"
+                break
+        else:
+            raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
+                               f"after {MAX_ITERS} iterations")
+        # Q^T A = R^T Z^T with Z orthonormal, so the left singular vectors of
+        # Q^T A are those of the ell x ell factor R^T. A block holds at most n x 8
+        # entries, so the two that CholeskyQR2 holds stay below a power step's chunk
+        rows = max(1, 8 * n // ell)
+        _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report)
+        Ub, s, _ = np.linalg.svd(R.T)
+        basis = np.ascontiguousarray(Q @ Ub[:, :r])
     if log is not None:
         log.update(report, iterations=it, stop=stop, residual=float(residual),
-                   sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None,
-                   seconds=time.perf_counter() - start)
+                   sigma_gap=float(s[r - 1] / s[r]) if len(s) > r and s[r] > 0 else None)
     return basis
 
 

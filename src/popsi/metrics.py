@@ -37,10 +37,8 @@ class EvalReport:
 
 
 def _user_mean(values: np.ndarray, n_users: int) -> float:
-    total = 0.0
-    for x in values.tolist():  # user by user, left to right, as acceptance 6's reference adds
-        total += x
-    return total / n_users
+    # user by user, left to right, as acceptance 6's reference adds (np.sum adds pairwise)
+    return float(np.add.accumulate(np.r_[0.0, values])[-1]) / n_users
 
 
 def _mean_metrics(items, pos_rows, pos_items, n_users: int, k_values: Sequence[int]):
@@ -172,9 +170,7 @@ def pri(quantiles: Mapping[int, float], pop_counts: np.ndarray) -> float:
     items = sorted(quantiles)
     if len(items) < 2:
         raise ValueError("PRI needs at least 2 items with rank quantiles")
-    pops = [float(pop_counts[v]) for v in items]
-    ranks = [quantiles[v] for v in items]
-    return -spearman(pops, ranks)
+    return -spearman(np.asarray(pop_counts, dtype=float)[items], [quantiles[v] for v in items])
 
 
 def ranked_blocks(score_fn: Callable[[np.ndarray], np.ndarray], users: np.ndarray, K: int,

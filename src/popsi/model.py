@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -12,7 +10,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from popsi.data import InteractionTensor, _read_container, _write_container, item_popularity
-from popsi.linalg import ORTHO_TOL, orthonormalize, project_out, truncated_svd_left
+from popsi.linalg import ORTHO_TOL, _timed, orthonormalize, project_out, truncated_svd_left
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -21,14 +19,6 @@ DEFAULT_RANK = 200
 DEFAULT_POPULAR_FRACTION = 0.2
 # training tensor -> {use_si: ((r, seed), spaces)}: `fit`'s last SVD pair per use_si on it
 _LAST_SPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-@contextmanager
-def _timed(seconds: dict, name: str):
-    """Add the wall time of the `with` body to seconds[name]."""
-    start = time.perf_counter()
-    yield
-    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 @dataclass

@@ -149,12 +149,15 @@ def test_ingest_empty_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+@pytest.mark.parametrize("name", ["missing.csv", ".", None], ids=["missing", "directory", "none"])
 def test_ingest_unreadable_input(tmp_path, capsys, name):
+    """An input that cannot be read, or none given, exits 2 naming it (or `--input`) and makes
+    no run directory."""
     out = tmp_path / "o"
-    assert run(["ingest", "--input", tmp_path / name, "--behaviors", "purchase", "--out", out]) == 2
+    given = [] if name is None else ["--input", tmp_path / name]
+    assert run(["ingest", *given, "--behaviors", "purchase", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(tmp_path / name) in err
+    assert err.startswith("error: ") and ("--input" if name is None else str(tmp_path / name)) in err
     assert not out.exists()
 
 

@@ -186,14 +186,18 @@ def test_svd_matches_dense_oracle():
 
 def test_svd_rank_too_large():
     A = sp.identity(4, format="csr")
+    log = {}
     with pytest.raises(ValueError):
-        truncated_svd_left(A, 5)
+        truncated_svd_left(A, 5, log=log)
+    assert log == {}  # a refused call reports nothing, not even its seconds
 
 
 def test_svd_empty_matrix():
     A = sp.csr_matrix((4, 4))
+    log = {}
     with pytest.raises(ValueError):
-        truncated_svd_left(A, 2)
+        truncated_svd_left(A, 2, log=log)
+    assert log == {}
 
 
 def test_svd_deterministic():

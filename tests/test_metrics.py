@@ -240,6 +240,28 @@ def test_pri_requires_two_items():
         pri({0: 0.5}, np.array([1, 2]))
 
 
+def test_pri_reads_a_list_as_an_int_array():
+    """The popularities are read with one index, whatever sequence holds them; the result
+    is the float of a per-item lookup."""
+    quantiles = {5: 0.5, 0: 0.3, 3: 0.1, 2: 0.7}
+    pop = [4, 9, 1, 4, 7, 2]
+    items = sorted(quantiles)
+    per_item = -spearman([float(pop[v]) for v in items], [quantiles[v] for v in items])
+    assert pri(quantiles, pop) == pri(quantiles, np.array(pop)) == per_item
+
+
+def test_user_mean_adds_left_to_right():
+    """Bit for bit the loop of the acceptance references, on values where np.sum's pairwise
+    additions round otherwise; no values mean 0."""
+    values = np.array([1.0] + [1e-16] * 15)
+    total = 0.0
+    for x in values.tolist():
+        total += x
+    assert np.sum(values) != total
+    assert metrics._user_mean(values, 3) == total / 3
+    assert metrics._user_mean(np.empty(0), 4) == 0.0
+
+
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 100_000))
 def test_metrics_match_brute_force_oracle(seed):
