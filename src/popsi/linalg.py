@@ -17,6 +17,7 @@ OVERSAMPLE = 10  # columns of the iterated block beyond the rank
 POWER_ITERS = 4  # power steps before the stop rule is read
 SVD_TOL = 1e-10  # projector movement of the leading r columns that counts as converged
 MAX_ITERS = 60  # power steps at most
+GRAM_GAP = 1e-6  # (lambda_r - lambda_{r+1}) / lambda_1 of the Ritz Gram at or below which TSQR runs
 
 
 @contextmanager
@@ -27,33 +28,23 @@ def _timed(seconds: dict, name: str):
     seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
-def _qr(Y, report: dict) -> tuple[np.ndarray | None, np.ndarray]:
-    """Y = Q R (Q orthonormal, R upper triangular) for an array Y; R alone, with Q None,
-    for the Y stacked from the row blocks that each call of a function Y() yields anew.
+def _qr(Y: np.ndarray, report: dict) -> np.ndarray:
+    """Orthonormal Q of Y = Q R (R upper triangular).
 
     Two CholeskyQR passes (Fukaya et al., ScalA 2014), each Q <- Q L^-T with
-    L = chol(Q^T Q), where Q^T Q is summed over the row blocks: the second pass
-    recomputes each block of the first pass's Q, so neither Y nor that Q is held
-    whole. When a Cholesky fails or the first pass leaves Q^T Q far from I
-    (cond(Y) beyond ~1e8), Householder QR of the whole Y instead, counted in
+    L = chol(Q^T Q). When a Cholesky fails or the first pass leaves Q^T Q far
+    from I (cond(Y) beyond ~1e8), Householder QR instead, counted in
     report["qr_fallbacks"].
     """
-    blocks = Y if callable(Y) else lambda: [Y]
     try:
-        L = np.linalg.cholesky(sum(B.T @ B for B in blocks()))
-        T = np.tril(np.linalg.inv(L)).T
-        G = 0
-        for Q in blocks():
-            Q = Q @ T  # frees the block of Y: at most two blocks are held
-            G = G + Q.T @ Q
+        Q = Y @ np.tril(np.linalg.inv(np.linalg.cholesky(Y.T @ Y))).T
+        G = Q.T @ Q
         if np.linalg.norm(G - np.eye(len(G))) <= 0.5:
-            L2 = np.linalg.cholesky(G)
-            return (None if callable(Y) else Q @ np.tril(np.linalg.inv(L2)).T), L2.T @ L.T
+            return Q @ np.tril(np.linalg.inv(np.linalg.cholesky(G))).T
     except np.linalg.LinAlgError:
         pass
     report["qr_fallbacks"] += 1
-    whole = np.concatenate(list(blocks()))
-    return (None, np.linalg.qr(whole, mode="r")) if callable(Y) else np.linalg.qr(whole)
+    return np.linalg.qr(Y)[0]
 
 
 def _power_step(A: sp.csr_matrix, At: sp.csr_matrix, Q: np.ndarray) -> np.ndarray:
@@ -71,15 +62,16 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, sec. 4.5):
     each power step applies A A^T and orthonormalizes only the short m x ell
     block. Steps continue past POWER_ITERS until the projector stops moving
-    (SVD_TOL) or MAX_ITERS is hit. The Ritz step takes the R factor of A^T Q
-    from its row blocks, each a quarter of a power step's 32-column chunk.
-    Every QR is CholeskyQR2, with Householder QR for blocks too
-    ill-conditioned for it. Deterministic for a fixed seed. When `log` is
-    given it is filled with the iteration count, the stop reason, the final
-    residual, the gap sigma_r / sigma_{r+1} (None when r = min(dims) or
+    (SVD_TOL) or MAX_ITERS is hit; each of their QRs is CholeskyQR2, with
+    Householder QR for blocks too ill-conditioned for it. The Ritz step reads A^T Q
+    once, in row blocks of n x 8 entries, and takes the eigenvectors of their summed
+    Gram, or, when its r-th gap is below GRAM_GAP * lambda_1, the left singular vectors
+    of R^T for the R of a Householder TSQR of the blocks. Deterministic for a fixed
+    seed. When `log` is given it is filled with the iteration count, the stop reason,
+    the final residual, the gap sigma_r / sigma_{r+1} (None when r = min(dims) or
     sigma_{r+1} = 0), the Householder fallbacks and the call's `seconds`.
     """
-    report = {"qr_fallbacks": 0}  # blocks that took Householder QR
+    report = {"qr_fallbacks": 0}  # QRs and Ritz steps that took Householder
     with _timed(report, "seconds"):
         m, n = A.shape
         if not 1 <= r <= min(m, n):
@@ -93,11 +85,11 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
         A = A.tocsr()
         At = A.T.tocsr()
 
-        Q, _ = _qr(A @ rng.standard_normal((n, ell)), report)
+        Q = _qr(A @ rng.standard_normal((n, ell)), report)
         residual = np.inf
         stalled = 0
         for it in range(1, MAX_ITERS + 1):
-            Q_new, _ = _qr(_power_step(A, At, Q), report)
+            Q_new = _qr(_power_step(A, At, Q), report)
             prev = residual
             # projector movement of the leading r columns between iterations; first
             # read (as prev) at step POWER_ITERS
@@ -120,12 +112,18 @@ def truncated_svd_left(A: sp.spmatrix, r: int, seed: int = 0, log: dict | None =
         else:
             raise RuntimeError(f"subspace iteration did not converge: residual {residual:.3e} "
                                f"after {MAX_ITERS} iterations")
-        # Q^T A = R^T Z^T with Z orthonormal, so the left singular vectors of
-        # Q^T A are those of the ell x ell factor R^T. A block holds at most n x 8
-        # entries, so the two that CholeskyQR2 holds stay below a power step's chunk
+        # Q^T A = Z^T: its left singular vectors are the eigenvectors of the Gram Z^T Z, summed
+        # over row blocks of at most n x 8 entries. Rounding moves the Gram by ~eps * lambda_1, so
+        # a narrower r-th gap takes R from a Householder TSQR of the blocks (Demmel et al. 2012)
         rows = max(1, 8 * n // ell)
-        _, R = _qr(lambda: (At[i : i + rows] @ Q for i in range(0, n, rows)), report)
-        Ub, s, _ = np.linalg.svd(R.T)
+        blocks = lambda: (At[i : i + rows] @ Q for i in range(0, n, rows))
+        lam, Ub = np.linalg.eigh(sum(Z.T @ Z for Z in blocks()))
+        lam, Ub = lam[::-1], Ub[:, ::-1]
+        s = np.sqrt(np.maximum(lam, 0))
+        if lam[r - 1] - (lam[r] if ell > r else 0) <= GRAM_GAP * lam[0]:
+            report["qr_fallbacks"] += 1
+            R = np.concatenate([np.linalg.qr(Z, mode="r") for Z in blocks()])
+            Ub, s, _ = np.linalg.svd(np.linalg.qr(R, mode="r").T)
         basis = np.ascontiguousarray(Q @ Ub[:, :r])
     if log is not None:
         log.update(report, iterations=it, stop=stop, residual=float(residual),

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from conftest import gapped_sparse_matrix, random_orthonormal, subspace_angle_sin
 from popsi.linalg import (
+    GRAM_GAP,
     MAX_ITERS,
     ORTHO_TOL,
     OVERSAMPLE,
@@ -85,21 +86,12 @@ def test_svd_rejects_rank_zero():
 def test_cholesky_qr2_matches_householder():
     Y = graded_block(np.random.default_rng(0), 2000, 60, 1e4)
     report = {"qr_fallbacks": 0}
-    Q, R = _qr(Y, report)
+    Q = _qr(Y, report)
     Qh, _ = np.linalg.qr(Y)
     # same nested column spans as Householder, column by column
     for k in range(1, 61):
         assert subspace_angle_sin(Q[:, :k], Qh[:, :k]) <= 1e-10
     assert orthonormality_error(Q) <= 1e-13
-    assert np.array_equal(R, np.triu(R))
-    assert np.linalg.norm(Q @ R - Y) <= 1e-13 * np.linalg.norm(Y)
-    # Y given as one row block: no Q, and the same R, bit for bit
-    no_q, R_only = _qr(lambda: [Y], report)
-    assert no_q is None and np.array_equal(R_only, R)
-    # R from row blocks (the Ritz step's form) sums the blocks' Gram matrices:
-    # the same R but for rounding
-    no_q, R_blocks = _qr(lambda: np.array_split(Y, 7), report)
-    assert no_q is None and np.linalg.norm(R_blocks - R) <= 1e-13 * np.linalg.norm(R)
     assert report["qr_fallbacks"] == 0
 
 
@@ -110,7 +102,7 @@ def test_cholesky_qr2_declines_or_is_orthonormal():
     report = {"qr_fallbacks": 0}
     for kappa in 10 ** np.arange(9, 11.01, 0.25):
         for seed in range(10):
-            Q, _ = _qr(graded_block(np.random.default_rng(seed), 200, 10, kappa), report)
+            Q = _qr(graded_block(np.random.default_rng(seed), 200, 10, kappa), report)
             assert orthonormality_error(Q) <= 1e-13
     assert report["qr_fallbacks"] > 0
 
@@ -119,14 +111,9 @@ def test_cholesky_qr2_declines_repeated_columns():
     col = np.random.default_rng(1).standard_normal((100, 1))
     Y = np.repeat(col, 5, axis=1)
     report = {"qr_fallbacks": 0}
-    Q, R = _qr(Y, report)
+    Q = _qr(Y, report)
     assert report["qr_fallbacks"] == 1
-    Qh, Rh = np.linalg.qr(Y)
-    assert np.array_equal(Q, Qh) and np.array_equal(R, Rh)
-    # the same when the block is given in row blocks, with R alone
-    no_q, R_blocks = _qr(lambda: np.array_split(Y, 3), report)
-    assert report["qr_fallbacks"] == 2
-    assert no_q is None and np.array_equal(R_blocks, Rh)
+    assert np.array_equal(Q, np.linalg.qr(Y)[0])
 
 
 def test_svd_falls_back_on_repeated_columns():
@@ -209,32 +196,41 @@ def test_svd_deterministic():
 
 
 @pytest.mark.parametrize(
-    "make, r, bound, oracle",
+    "make, r, bound, oracle, gram",
     [
         pytest.param(
             lambda: gapped_sparse_matrix(np.random.default_rng(5), 50, 80, r=5),
-            5, 1e-12, True, id="gapped",
+            5, 1e-12, True, True, id="gapped",
         ),
         # rounding of A (A^T q_r) alone moves the basis by about eps * sigma_1 / sigma_r
-        # (2e-10 here) in either kernel; both stop ~4e-11 from the dense oracle
+        # (2e-10 here) in either kernel; both stop ~4e-11 from the dense oracle. The
+        # Gram's r-th gap is ~1e-12 * lambda_1, so the Ritz step takes the TSQR
         pytest.param(
             lambda: graded_matrix(np.random.default_rng(6), 120, 90, 8, 1e-6, 2.0),
-            8, 1e-9, True, id="graded",
+            8, 1e-9, True, False, id="graded",
         ),
         # m > n, like the target slice fitted without side information; no gap at r,
         # so neither kernel's basis is the oracle's
         pytest.param(
             lambda: sparse_binary(np.random.default_rng(7), 300, 80, 0.1),
-            10, 1e-12, False, id="tall",
+            10, 1e-12, False, True, id="tall",
         ),
         # m << n with ell = 50: the Ritz step reads A^T Q in seven row blocks of 480
         pytest.param(
             lambda: gapped_sparse_matrix(np.random.default_rng(12), 60, 3000, r=40),
-            40, 1e-12, True, id="wide",
+            40, 1e-12, True, True, id="wide",
+        ),
+        # the same shape, sparse binary like mode 2's unfolding: sigma_r / sigma_{r+1} is
+        # 1.005, yet the Gram's r-th gap (2e-3 * lambda_1) is far above GRAM_GAP
+        pytest.param(
+            lambda: sparse_binary(np.random.default_rng(14), 60, 3000, 0.05),
+            40, 1e-12, False, True, id="wide-gapless",
         ),
     ],
 )
-def test_svd_matches_two_qr_reference(make, r, bound, oracle):
+def test_svd_matches_two_qr_reference(make, r, bound, oracle, gram):
+    """`gram`: no QR falls back, so the Ritz step takes the Gram's eigenvectors;
+    otherwise a fallback is counted (the graded case's TSQR Ritz step)."""
     A = make()
     dense = np.linalg.svd(A.toarray(), full_matrices=False)[0][:, :r]
     for seed in range(3):
@@ -243,21 +239,68 @@ def test_svd_matches_two_qr_reference(make, r, bound, oracle):
         ref, iterations = two_qr_svd_left(A, r, seed)
         assert subspace_angle_sin(Q, ref) <= bound
         assert log["iterations"] == iterations
+        assert (log["qr_fallbacks"] == 0) == gram
         if oracle:
             assert subspace_angle_sin(Q, dense) <= bound
 
 
-def test_svd_never_holds_a_second_n_by_ell_block():
-    """The Gaussian start block is n x ell; the Ritz step reads A^T Q in row blocks
-    of n x 8 entries, so no second n x ell product joins it."""
-    A = sp.random(150, 40_000, density=0.01, random_state=np.random.default_rng(13), format="csr")
+def test_svd_ritz_step_takes_the_tsqr_only_below_the_gram_gap(monkeypatch):
+    """The TSQR's QRs are the kernel's only mode="r" calls of np.linalg.qr."""
+    graded = sp.csr_matrix(graded_block(np.random.default_rng(4), 120, 15, 1e12))
+    gapless = sparse_binary(np.random.default_rng(8), 200, 150, 0.05)
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        calls.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    # lambda_5 - lambda_6 is 1.4e-7 * lambda_1: the Ritz step takes the R of
+    # A^T Q's two row blocks of 8 and 7 rows, then of their stacked Rs
+    s = np.linalg.svd(graded.toarray(), compute_uv=False)
+    assert s[4] ** 2 - s[5] ** 2 <= GRAM_GAP * s[0] ** 2
+    log = {}
+    Q = truncated_svd_left(graded, 5, 0, log)
+    assert calls.count("r") == 3 and log["qr_fallbacks"] == calls.count("reduced") + 1
+    dense = np.linalg.svd(graded.toarray(), full_matrices=False)[0][:, :5]
+    assert subspace_angle_sin(Q, dense) <= 1e-8
+    # the stalled gapless block of test_svd_log_stalled_without_gap: sigma_5 / sigma_6
+    # is below 1.05, yet the Gram's gap is 2.5e-3 * lambda_1: np.linalg.qr is never called
+    calls.clear()
+    s = np.linalg.svd(gapless.toarray(), compute_uv=False)
+    assert s[4] ** 2 - s[5] ** 2 > GRAM_GAP * s[0] ** 2
+    log = {}
+    truncated_svd_left(gapless, 5, 0, log)
+    assert log["stop"] == "stalled" and calls == [] and log["qr_fallbacks"] == 0
+
+
+def traced_svd_peak(A, r, log):
     tracemalloc.start()
     try:
-        truncated_svd_left(A, 100)
-        peak = tracemalloc.get_traced_memory()[1]
+        truncated_svd_left(A, r, 0, log)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 40_000 * (100 + OVERSAMPLE) * 8
+
+
+def test_svd_never_holds_a_second_n_by_ell_block():
+    """The Gaussian start block is n x ell; the Ritz step reads A^T Q once, in row
+    blocks of n x 8 entries, and sums their Gram, so no second n x ell product joins it."""
+    A = sp.random(150, 40_000, density=0.01, random_state=np.random.default_rng(13), format="csr")
+    log = {}
+    assert traced_svd_peak(A, 100, log) <= 1.5 * 40_000 * (100 + OVERSAMPLE) * 8
+    assert log["qr_fallbacks"] == 0
+
+
+def test_svd_tsqr_ritz_step_never_holds_a_second_n_by_ell_block():
+    """Rank 50 below r = 100: every QR and the Ritz step fall back. The TSQR reduces
+    each row block of A^T Q to its R at once, so A^T Q is never held whole either."""
+    rows = sp.random(50, 40_000, density=0.01, random_state=np.random.default_rng(13))
+    A = sp.vstack([rows, sp.csr_matrix((100, 40_000))]).tocsr()
+    log = {}
+    assert traced_svd_peak(A, 100, log) <= 1.5 * 40_000 * (100 + OVERSAMPLE) * 8
+    assert log["qr_fallbacks"] == log["iterations"] + 2
 
 
 # a lone call times itself
